@@ -12,7 +12,7 @@ processes:
   pickled campaign config or fetched from the store by content
   address, so tasks can run on any worker in any order;
 * the parent is the only journal writer — workers report results over
-  a queue and the parent appends journal entries in the serial
+  their own pipes and the parent appends journal entries in the serial
   runner's exact shapes, so parallel and serial campaigns resume each
   other's journals;
 * a worker that dies (killed, OOM, crashed) is detected by the
@@ -22,11 +22,14 @@ processes:
   respawned in its place (``campaign.worker_restarts`` metric);
 * a worker that *hangs* (alive but stuck) is detected by the
   :class:`~repro.parallel.supervisor.Supervisor` — workers heartbeat
-  through the result queue, and each task carries a soft deadline
+  through their result pipes, and each task carries a soft deadline
   derived from the p95 of completed walls plus an optional hard
   ``--task-timeout``. Overdue workers are cancelled (SIGTERM→SIGKILL),
   respawned, and their task re-queued like a crash, failing with
-  :class:`~repro.errors.TaskTimeoutError` on exhaustion;
+  :class:`~repro.errors.TaskTimeoutError` on exhaustion. Each worker
+  has a pipe of its own: a worker killed halfway through a send can
+  only cut its own channel, where a shared queue's write lock would
+  stay held by the dead process and block every later result;
 * results are assembled in serial iteration order from the reported
   payloads, so a parallel campaign's results are **byte-identical**
   to a serial run's (the simulator is deterministic and floats
@@ -44,11 +47,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import queue
 import signal
 import threading
 import time
 import warnings
+from multiprocessing.connection import wait
 from typing import Optional, Union
 
 from repro.cluster.contention import DEDICATED
@@ -87,7 +90,7 @@ __all__ = ["run_parallel_campaign", "write_campaign_timeline"]
 #: Kinds whose payload carries a trace file and activity breakdown.
 _TRACED_KINDS = (KIND_TRACE, KIND_SKEL_TRACE)
 
-#: How long the parent waits on the result queue before polling
+#: How long the parent waits on the result pipes before polling
 #: worker liveness (seconds).
 _POLL_SECONDS = 0.2
 
@@ -292,11 +295,12 @@ def _execute_task(state: _WorkerState, task: CampaignTask, policy) -> dict:
 
 def _worker_main(
     worker_id, config, cluster, cache_dir, policy, heartbeat_interval,
-    kill_at, hang_at, task_q, result_q,
+    kill_at, hang_at, task_q, result_conn,
 ):
     """Worker process: pull tasks, execute, report payloads.
 
-    A daemon thread heartbeats through ``result_q`` every
+    ``result_conn`` is the write end of this worker's result pipe.
+    A daemon thread heartbeats through it every
     ``heartbeat_interval`` seconds (``<= 0`` disables) so the parent's
     supervisor can tell a frozen process from a busy one — the daemon
     keeps beating even while the main thread is stuck in a task.
@@ -310,6 +314,11 @@ def _worker_main(
     state = _WorkerState(config, cluster, cache_dir)
     received = 0
     seq = 0
+    send_lock = threading.Lock()
+
+    def send(message: dict) -> None:
+        with send_lock:  # the heartbeat thread shares the pipe
+            result_conn.send(message)
 
     def _beat() -> None:
         nonlocal seq
@@ -317,8 +326,8 @@ def _worker_main(
             time.sleep(heartbeat_interval)
             seq += 1
             try:
-                result_q.put({"hb": True, "worker": worker_id, "seq": seq})
-            except Exception:  # queue torn down: parent is gone
+                send({"hb": True, "worker": worker_id, "seq": seq})
+            except Exception:  # pipe torn down: parent is gone
                 return
 
     if heartbeat_interval is not None and heartbeat_interval > 0:
@@ -353,7 +362,7 @@ def _worker_main(
             t_start=t0,
             t_end=time.time(),
         )
-        result_q.put(payload)
+        send(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -362,25 +371,33 @@ def _worker_main(
 
 
 class _WorkerHandle:
-    """Parent's view of one worker: process, its task queue, and the
-    task it currently holds (None when idle)."""
+    """Parent's view of one worker: process, its task queue, the read
+    end of its result pipe (None once closed), and the task it
+    currently holds (None when idle)."""
 
-    def __init__(self, ctx, worker_id, spawn_args, result_q, kill_at,
-                 hang_at=None):
+    def __init__(self, ctx, worker_id, spawn_args, kill_at, hang_at=None):
         self.worker_id = worker_id
         self.task_q = ctx.SimpleQueue()
         self.current: Optional[CampaignTask] = None
         self.t_dispatch = 0.0
+        self.conn, writer = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
             target=_worker_main,
             args=(
                 worker_id, *spawn_args, kill_at, hang_at,
-                self.task_q, result_q,
+                self.task_q, writer,
             ),
             name=f"campaign-worker-{worker_id}",
             daemon=True,
         )
         self.proc.start()
+        # Only the worker holds the write end, so its death reads as EOF.
+        writer.close()
+
+    def close_pipe(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+            self.conn = None
 
     @property
     def alive(self) -> bool:
@@ -408,6 +425,7 @@ class _WorkerHandle:
         if self.alive:
             self.proc.terminate()
             self.proc.join(timeout=5.0)
+        self.close_pipe()
 
 
 def _payload_from_journal(runner, task: CampaignTask, entry: dict):
@@ -679,14 +697,13 @@ def run_parallel_campaign(
             )
 
     ctx = _preferred_context()
-    result_q = ctx.Queue()
     spawn_args = (
         cfg, runner.cluster, str(runner.cache_dir), policy,
         sup_cfg.heartbeat_interval,
     )
     workers = [
         _WorkerHandle(
-            ctx, i, spawn_args, result_q,
+            ctx, i, spawn_args,
             kill_plan.pop(i, None), hang_plan.pop(i, None),
         )
         for i in range(runner.workers)
@@ -698,9 +715,8 @@ def run_parallel_campaign(
                 "campaign.worker_restarts", "campaign workers respawned"
             ).inc()
         runner._log(f"worker {handle.worker_id} {why}; respawning")
-        return _WorkerHandle(
-            ctx, handle.worker_id, spawn_args, result_q, None
-        )
+        handle.close_pipe()
+        return _WorkerHandle(ctx, handle.worker_id, spawn_args, None)
 
     def _lose_task(task: CampaignTask, cause: str = "crash") -> None:
         lost[task.key] = lost.get(task.key, 0) + 1
@@ -760,22 +776,30 @@ def run_parallel_campaign(
                     supervisor.task_started(
                         handle.worker_id, handle.current.key
                     )
-            try:
-                payload = result_q.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                payload = None
-            if payload is not None and payload.get("hb"):
-                # Heartbeat, not a result: refresh liveness and fall
-                # through to the supervision checks — a steady beat
-                # must never starve hang detection.
-                supervisor.heartbeat(payload["worker"])
-                if metrics.enabled:
-                    c = metrics.counter(
-                        "supervisor.heartbeats", "worker heartbeats received"
-                    )
-                    c.inc()
-                    c.labels(worker=str(payload["worker"])).inc()
-            elif payload is not None:
+            messages = []
+            open_pipes = {h.conn: h for h in workers if h.conn is not None}
+            for conn in wait(list(open_pipes), timeout=_POLL_SECONDS):
+                try:
+                    messages.append(conn.recv())
+                except (EOFError, OSError):
+                    # The worker is gone and its pipe fully read; the
+                    # liveness check below respawns it.
+                    open_pipes[conn].close_pipe()
+            got_result = False
+            for payload in messages:
+                if payload.get("hb"):
+                    # Heartbeat, not a result: refresh liveness; a steady
+                    # beat must never starve hang detection.
+                    supervisor.heartbeat(payload["worker"])
+                    if metrics.enabled:
+                        c = metrics.counter(
+                            "supervisor.heartbeats",
+                            "worker heartbeats received",
+                        )
+                        c.inc()
+                        c.labels(worker=str(payload["worker"])).inc()
+                    continue
+                got_result = True
                 for handle in workers:
                     if (
                         handle.current is not None
@@ -789,6 +813,7 @@ def run_parallel_campaign(
                         payload["t_end"] - payload["t_start"]
                     )
                 _handle(payload)
+            if got_result:
                 continue
             # No task result this round: check for dead workers holding
             # tasks, then for live-but-hung ones.
@@ -848,7 +873,6 @@ def run_parallel_campaign(
     finally:
         for handle in workers:
             handle.shutdown()
-        result_q.close()
 
     runner.campaign_spans = spans
     return _assemble(runner, scenarios, payloads, bench_failures)

@@ -23,7 +23,7 @@ Two complementary signals, both cheap:
   CLI's ``--task-timeout``) caps the deadline independently of the
   sample — and is the only deadline before the sample warms up.
 * **Heartbeats.** Each worker runs a daemon thread that pushes a
-  monotonic heartbeat through the shared result queue every
+  monotonic heartbeat through its result pipe every
   :attr:`~SupervisorConfig.heartbeat_interval` seconds. The daemon
   survives a hung *main* thread, so silence means the whole process is
   frozen (SIGSTOP, D-state) — detected after

@@ -6,8 +6,11 @@ pathological run (an NFS stall inside the store, a runaway workload)
 wedge the whole service. The pool keeps compute in child processes
 and re-uses the campaign machinery for safety:
 
-* each worker pushes monotonic **heartbeats** through the shared
-  result queue from a daemon thread (it survives a hung main thread);
+* each worker pushes monotonic **heartbeats** through its own result
+  pipe from a daemon thread (it survives a hung main thread). The pipe
+  is the worker's alone: a worker killed halfway through a send can
+  only cut its own channel, where a shared queue's write lock would
+  stay held by the dead process and block every other worker;
 * the parent-side collector drives the same
   :class:`~repro.parallel.supervisor.Supervisor` the campaign
   scheduler uses — per-task soft/hard deadlines plus heartbeat-stall
@@ -33,10 +36,10 @@ exercised without a genuinely slow simulation.
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing.connection import wait
 from typing import Optional
 
 from repro.errors import (
@@ -73,17 +76,27 @@ def _worker_main(
 ) -> None:
     """Worker loop: pull a request, compute, ship the payload back.
 
+    ``results`` is the write end of this worker's result pipe.
     ``ok``/``err`` payloads are envelopes carrying the worker-side
     spans of the task's trace alongside the result; the ``start`` ack
     carries the opened span's identity so the parent can synthesize a
     closed span if this process hangs or dies mid-task.
     """
+    send_lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with send_lock:  # the heartbeat thread shares the pipe
+            results.send(message)
+
     if heartbeat_interval > 0:
 
         def _beat() -> None:
-            while True:
-                results.put(("beat", worker_id, None, None))
-                time.sleep(heartbeat_interval)
+            try:
+                while True:
+                    send(("beat", worker_id, None, None))
+                    time.sleep(heartbeat_interval)
+            except OSError:
+                return  # the pool closed its end
 
         threading.Thread(target=_beat, daemon=True).start()
 
@@ -119,7 +132,7 @@ def _worker_main(
                 "ts": span.ts,
                 "worker_id": worker_id,
             }
-        results.put(("start", worker_id, task_id, start_info))
+        send(("start", worker_id, task_id, start_info))
         try:
             # Resolved through the module so a patch installed in the
             # parent before fork takes effect here too.
@@ -128,7 +141,7 @@ def _worker_main(
                 retry_policy,
             )
             scope.__exit__(None, None, None)
-            results.put((
+            send((
                 "ok",
                 worker_id,
                 task_id,
@@ -136,7 +149,7 @@ def _worker_main(
             ))
         except BaseException as exc:  # ship, never kill the loop
             scope.__exit__(type(exc), exc, exc.__traceback__)
-            results.put((
+            send((
                 "err",
                 worker_id,
                 task_id,
@@ -176,8 +189,9 @@ class WorkerPool:
         self._config = supervisor or SupervisorConfig(task_timeout=120.0)
         self.supervisor = Supervisor(self._config)
         self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
         self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
+        #: worker id -> read end of its result pipe.
+        self._pipes: dict = {}
         self._futures: dict[int, Future] = {}
         #: worker id -> task id it is currently running.
         self._running: dict[int, int] = {}
@@ -211,13 +225,14 @@ class WorkerPool:
     def _spawn(self) -> None:
         worker_id = self._next_worker
         self._next_worker += 1
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
                 worker_id,
                 self._cache_dir,
                 self._tasks,
-                self._results,
+                writer,
                 self._config.heartbeat_interval,
                 self._retry_policy,
             ),
@@ -225,8 +240,16 @@ class WorkerPool:
             name=f"serve-worker-{worker_id}",
         )
         proc.start()
+        # Only the worker holds the write end, so its death reads as EOF.
+        writer.close()
         self._procs[worker_id] = proc
+        self._pipes[worker_id] = reader
         _log.info("worker_spawn", worker_id=worker_id, pid=proc.pid)
+
+    def _drop_pipe(self, worker_id: int) -> None:
+        conn = self._pipes.pop(worker_id, None)
+        if conn is not None:
+            conn.close()
 
     def _kill(self, worker_id: int) -> None:
         proc = self._procs.pop(worker_id, None)
@@ -262,59 +285,70 @@ class WorkerPool:
 
     def _collect(self) -> None:
         while not self._closed:
-            try:
-                kind, wid, task_id, payload = self._results.get(timeout=0.2)
-            except queue.Empty:
+            by_conn = {conn: wid for wid, conn in self._pipes.items()}
+            ready = wait(list(by_conn), timeout=0.2)
+            if not ready:
                 self._reap()
                 self._enforce()
                 continue
-            if kind == "beat":
-                self.supervisor.heartbeat(wid)
-            elif kind == "start":
-                self.supervisor.task_started(wid, str(task_id))
-                with self._lock:
-                    self._running[wid] = task_id
-                    self._unstarted.pop(task_id, None)
-                    if payload:
-                        self._span_starts[wid] = payload
-            elif kind in ("ok", "err"):
-                _, started_at = self.supervisor._tasks.get(
-                    wid, (None, None)
-                )
-                self.supervisor.task_finished(wid)
-                if started_at is not None:
-                    self.supervisor.observe_wall(
-                        time.monotonic() - started_at
-                    )
-                with self._lock:
-                    self._running.pop(wid, None)
-                    self._unstarted.pop(task_id, None)
-                    self._requeued.pop(task_id, None)
-                    self._span_starts.pop(wid, None)
-                    fut = self._futures.pop(task_id, None)
-                # Adopt the worker's completed spans before resolving
-                # the future, so the service span that wakes up sees a
-                # complete trace in the flight recorder.
-                tracer = get_tracer()
-                if (
-                    tracer.enabled
-                    and isinstance(payload, dict)
-                    and payload.get("spans")
-                ):
-                    tracer.recorder.record_remote(payload["spans"])
-                if fut is None:
+            for conn in ready:
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # The worker is gone and its pipe fully read; stop
+                    # waiting on it. _reap accounts for the death.
+                    self._drop_pipe(by_conn[conn])
                     continue
-                if kind == "ok":
-                    fut.set_result(payload["payload"])
-                else:
-                    fut.set_exception(
-                        RemoteComputeError(
-                            payload["message"],
-                            error_type=payload["type"],
-                            attempts=payload["attempts"],
-                        )
-                    )
+                self._handle(*message)
             self._enforce()
+
+    def _handle(self, kind: str, wid: int, task_id, payload) -> None:
+        if kind == "beat":
+            self.supervisor.heartbeat(wid)
+        elif kind == "start":
+            self.supervisor.task_started(wid, str(task_id))
+            with self._lock:
+                self._running[wid] = task_id
+                self._unstarted.pop(task_id, None)
+                if payload:
+                    self._span_starts[wid] = payload
+        elif kind in ("ok", "err"):
+            _, started_at = self.supervisor._tasks.get(
+                wid, (None, None)
+            )
+            self.supervisor.task_finished(wid)
+            if started_at is not None:
+                self.supervisor.observe_wall(
+                    time.monotonic() - started_at
+                )
+            with self._lock:
+                self._running.pop(wid, None)
+                self._unstarted.pop(task_id, None)
+                self._requeued.pop(task_id, None)
+                self._span_starts.pop(wid, None)
+                fut = self._futures.pop(task_id, None)
+            # Adopt the worker's completed spans before resolving
+            # the future, so the service span that wakes up sees a
+            # complete trace in the flight recorder.
+            tracer = get_tracer()
+            if (
+                tracer.enabled
+                and isinstance(payload, dict)
+                and payload.get("spans")
+            ):
+                tracer.recorder.record_remote(payload["spans"])
+            if fut is None:
+                return
+            if kind == "ok":
+                fut.set_result(payload["payload"])
+            else:
+                fut.set_exception(
+                    RemoteComputeError(
+                        payload["message"],
+                        error_type=payload["type"],
+                        attempts=payload["attempts"],
+                    )
+                )
 
     def _synthesize_span(self, wid: int, status: str, reason: str) -> None:
         """A worker that hangs or dies cannot close its own span —
@@ -368,6 +402,7 @@ class WorkerPool:
                 ),
             )
             self._kill(wid)
+            self._drop_pipe(wid)
             if not self._closed:
                 self._spawn()
 
@@ -381,6 +416,7 @@ class WorkerPool:
         ]
         for wid in dead:
             self._procs.pop(wid, None)
+            self._drain_pipe(wid)
             self.n_crashes += 1
             self.supervisor.task_finished(wid)
             with self._lock:
@@ -404,6 +440,17 @@ class WorkerPool:
                 self._requeue_unstarted()
             if not self._closed:
                 self._spawn()
+
+    def _drain_pipe(self, wid: int) -> None:
+        """Handle what a dead worker sent before dying, then drop its
+        pipe (a send cut short by the death reads as EOF)."""
+        conn = self._pipes.get(wid)
+        try:
+            while conn is not None and conn.poll():
+                self._handle(*conn.recv())
+        except (EOFError, OSError):
+            pass
+        self._drop_pipe(wid)
 
     def _requeue_unstarted(self) -> None:
         """A worker died without an attributable task: anything not yet
@@ -474,4 +521,5 @@ class WorkerPool:
                 fut.set_exception(ServeError("worker pool closed"))
         self._collector.join(2.0)
         self._tasks.close()
-        self._results.close()
+        for wid in list(self._pipes):
+            self._drop_pipe(wid)

@@ -5,8 +5,9 @@ Protocol (see ``docs/SERVING.md``): one request per line,
 ``{"id", "ok", "code", "result" | "error" [, "failure_record"]}``.
 Replies may arrive out of request order on a pipelined connection —
 the echoed ``id`` is the correlation key. Codes follow HTTP idiom:
-200 success, 400 bad request, 500 compute failure, 503 overload or
-draining, 504 deadline exceeded.
+200 success, 400 bad request, 413 request line longer than
+:data:`MAX_LINE_BYTES` (the connection is then closed), 500 compute
+failure, 503 overload or draining, 504 deadline exceeded.
 
 Backpressure is explicit, not emergent: heavy verbs (``predict``,
 ``publish``) pass through a **bounded admission count** —
@@ -40,12 +41,21 @@ from repro.obs.tracing import TraceContext, get_tracer
 from repro.serve.service import PredictionService
 from repro.store.store import canonical_json
 
-__all__ = ["PredictionServer", "CHEAP_VERBS"]
+__all__ = ["PredictionServer", "CHEAP_VERBS", "MAX_LINE_BYTES"]
 
 #: Verbs answered inline, outside the admission queue.
 CHEAP_VERBS = frozenset(
     ("ping", "healthz", "metricz", "tracez", "slowz", "resolve", "list")
 )
+
+#: Longest request line read (asyncio's default stream limit); a longer
+#: one gets a 413 ``RequestTooLarge`` reply and the connection closes.
+MAX_LINE_BYTES = 2**16
+
+#: Seconds the rest of an oversized line is read and dropped after the
+#: 413 reply, so the close sends FIN rather than RST (unread input would
+#: make the kernel reset the connection and could lose the reply).
+_DISCARD_SECONDS = 2.0
 
 _log = get_logger("serve.server")
 
@@ -77,6 +87,8 @@ class PredictionServer:
         self._pending = 0
         self._draining = False
         self._inflight: set = set()
+        #: Open connections: handler task -> its stream writer.
+        self._connections: dict = {}
         self.n_overloads = 0
 
     # -- lifecycle -------------------------------------------------------
@@ -89,7 +101,7 @@ class PredictionServer:
             thread_name_prefix="serve-exec",
         )
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -98,11 +110,13 @@ class PredictionServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._inflight:
             await asyncio.wait(
                 self._inflight, timeout=self.drain_grace
             )
+        await self._close_connections()
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=False)
         self.service.close()
@@ -112,6 +126,26 @@ class PredictionServer:
         if tracer.enabled:
             tracer.recorder.record_event("drain")
             tracer.recorder.maybe_dump("drain")
+
+    async def _close_connections(self) -> None:
+        """End every open connection and its handler.
+
+        An idle client never hangs up by itself, and since Python 3.12
+        ``Server.wait_closed`` waits for every connection to go. Closing
+        flushes replies already written; a peer that stops reading is
+        cut off after ``drain_grace``.
+        """
+        if not self._connections:
+            return
+        for writer in self._connections.values():
+            writer.close()
+        _, stuck = await asyncio.wait(
+            list(self._connections), timeout=self.drain_grace
+        )
+        for task in stuck:
+            self._connections[task].transport.abort()
+        if stuck:
+            await asyncio.wait(stuck)
 
     def run(self, ready_stream=None) -> None:
         """Serve until SIGTERM/SIGINT, then drain; blocks the caller.
@@ -146,9 +180,17 @@ class PredictionServer:
     # -- connection handling ---------------------------------------------
 
     async def _on_connection(self, reader, writer) -> None:
+        me = asyncio.current_task()
+        self._connections[me] = writer
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran MAX_LINE_BYTES; asyncio dropped
+                    # what it had buffered of it. Answer, then close.
+                    await self._reject_too_large(reader, writer)
+                    break
                 if not line:
                     break
                 stripped = line.strip()
@@ -159,9 +201,12 @@ class PredictionServer:
                 )
                 self._inflight.add(task)
                 task.add_done_callback(self._inflight.discard)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionResetError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
+            # Cancellation (loop shutdown) ends the handler quietly too.
             pass
         finally:
+            self._connections.pop(me, None)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -169,6 +214,32 @@ class PredictionServer:
                 # Loop shutdown cancels idle connection handlers mid
                 # wait_closed; there is nothing left to clean up.
                 pass
+
+    async def _reject_too_large(self, reader, writer) -> None:
+        metrics = get_metrics()
+        if metrics.enabled:
+            c = metrics.counter(
+                "serve.rejected", "request lines refused unparsed"
+            )
+            c.inc()
+            c.labels(reason="too_large").inc()
+        _log.warning("rejected", reason="too_large", limit=MAX_LINE_BYTES,
+                     peer=writer.get_extra_info("peername"))
+        await self._reply(writer, {
+            "id": None, "ok": False, "code": 413,
+            "error": {"type": "RequestTooLarge",
+                      "message": f"request line exceeds {MAX_LINE_BYTES} "
+                                 f"bytes",
+                      "attempts": 1},
+        })
+        # Half-close so the client sees the reply then EOF, and drop
+        # the line's remaining input until the client hangs up.
+        try:
+            if writer.can_write_eof():
+                writer.write_eof()
+            await asyncio.wait_for(_discard(reader), _DISCARD_SECONDS)
+        except (asyncio.TimeoutError, OSError):
+            pass
 
     async def _serve_line(self, raw: bytes, writer) -> None:
         t0 = time.perf_counter()
@@ -298,3 +369,8 @@ class PredictionServer:
             await writer.drain()
         except (ConnectionResetError, OSError):
             pass
+
+
+async def _discard(reader) -> None:
+    while await reader.read(MAX_LINE_BYTES):
+        pass

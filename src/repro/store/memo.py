@@ -40,6 +40,7 @@ from repro.core.goodness import shortest_good_skeleton
 from repro.core.scale import scale_signature
 from repro.core.sigio import signature_from_dict, signature_to_dict
 from repro.core.skeleton import skeleton_program
+from repro.errors import StoreError
 from repro.sim.engine import RunResult
 from repro.store.store import ArtifactStore, StoreKey, canonical_json, content_digest
 from repro.trace.io import read_trace, write_trace
@@ -192,8 +193,12 @@ class PipelineCache:
         key = self.trace_key(program_params)
         artifact = self.store.get(key)
         if artifact is not None:
-            trace = read_trace(artifact.blobs["trace"])
-            return trace, runresult_from_dict(artifact.content["result"])
+            try:
+                trace = read_trace(artifact.blobs["trace"])
+            except StoreError:
+                pass  # the blob rotted in place: recompute and overwrite
+            else:
+                return trace, runresult_from_dict(artifact.content["result"])
         trace, result = compute()
         self.store.put(
             key,
@@ -207,9 +212,10 @@ class PipelineCache:
         ``None`` on a miss.
 
         Reads only the JSON envelope — the trace blob (tens of
-        thousands of records) is never deserialized. This is the
-        serving hot path: a warm prediction needs the dedicated
-        elapsed time, not the events that produced it.
+        thousands of records) is never opened, so it is neither hashed
+        nor deserialized. This is the serving hot path: a warm
+        prediction needs the dedicated elapsed time, not the events
+        that produced it.
         """
         if not self.enabled:
             return None

@@ -33,13 +33,22 @@ Layout and integrity
     <cache root>/store/objects/ab/<digest>.json   # JSON envelope
     <cache root>/store/blobs/<digest>-<name>      # large payloads
 
-The envelope records a digest of its content and of every attached
-blob; :meth:`ArtifactStore.get` verifies both before returning, so a
-torn write or bit-rot reads as a *miss* (or raises
-:class:`~repro.errors.StoreError` with ``on_error="raise"``), never as
-wrong data. Writes are atomic (temp file + ``os.replace``) and safe
-under concurrent writers producing the same key: content-addressing
-makes the race benign — both write identical bytes.
+The envelope records a digest of its content and the digest and size
+of every attached blob. :meth:`ArtifactStore.get` verifies the content
+digest and that each blob exists at its recorded size (one ``stat``, no
+read); a blob's digest is verified when it is *opened* — the first
+``artifact.blobs[name]`` — so a blob nobody reads is never hashed, and
+every blob that is read is verified before use. A torn write or bit-rot
+in the envelope, or a missing or resized blob, reads as a *miss* (or
+raises :class:`~repro.errors.StoreError` with ``on_error="raise"``); a
+blob whose bytes rotted at the same size raises
+:class:`~repro.errors.StoreError` on open. Never wrong data either way.
+:meth:`~ArtifactStore.verify`, :meth:`~ArtifactStore.prune` and
+:func:`~repro.store.fsck.fsck` hash every blob in full.
+
+Writes are atomic (temp file + ``os.replace``) and safe under
+concurrent writers producing the same key: content-addressing makes
+the race benign — both write identical bytes.
 
 Hit/miss/eviction counts are reported through the
 :mod:`repro.obs.metrics` registry (``store.hits``, ``store.misses``,
@@ -62,7 +71,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from repro.errors import StoreError
 from repro.faults import io as _fio
@@ -110,6 +119,16 @@ def _older_than(path: Path, seconds: float) -> bool:
         return time.time() - path.stat().st_mtime > seconds
     except OSError:
         return False
+
+
+def _count(name: str, stage: str) -> None:
+    """Tick the ``store.<name>`` counter and its ``stage`` label."""
+    metrics = get_metrics()
+    if metrics.enabled:
+        c = metrics.counter(f"store.{name}", f"store {name} by stage")
+        c.inc()
+        if stage:
+            c.labels(stage=stage).inc()
 
 
 def canonical_json(obj: object) -> str:
@@ -167,14 +186,61 @@ class StoreKey:
     params: Mapping = field(default_factory=dict, compare=False, hash=False)
 
 
+def _hash_blob(root: Path, meta: Mapping) -> Path:
+    """Hash one blob in full against its recorded digest; its path."""
+    blob_path = root / meta["file"]
+    try:
+        data = _fio.read_bytes(blob_path)
+    except OSError as exc:
+        raise StoreError(f"missing blob {meta['file']}: {exc}") from exc
+    if content_digest(data) != meta.get("digest"):
+        raise StoreError(f"blob digest mismatch: {meta['file']}")
+    return blob_path
+
+
+class _Blobs(Mapping[str, Path]):
+    """Read-only blob name → path mapping of one read artifact.
+
+    A blob's digest is checked the first time ``blobs[name]`` is
+    accessed, and the verdict cached; a mismatch raises
+    :class:`StoreError` and ticks ``store.corrupt``.
+    """
+
+    __slots__ = ("_root", "_meta", "_stage", "_opened")
+
+    def __init__(self, root: Path, meta: Mapping[str, Mapping], stage: str):
+        self._root = root
+        self._meta = meta
+        self._stage = stage
+        self._opened: dict[str, Path] = {}
+
+    def __getitem__(self, name: str) -> Path:
+        path = self._opened.get(name)
+        if path is None:
+            try:
+                path = _hash_blob(self._root, self._meta[name])
+            except StoreError:
+                _count("corrupt", self._stage)
+                raise
+            self._opened[name] = path
+        return path
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._meta)
+
+    def __len__(self) -> int:
+        return len(self._meta)
+
+
 @dataclass
 class Artifact:
-    """One artifact read back from the store."""
+    """One artifact read back from the store. ``blobs`` verifies each
+    blob's digest when it is first opened."""
 
     stage: str
     digest: str
     content: dict
-    blobs: dict[str, Path]
+    blobs: Mapping[str, Path]
     params: dict
     created: float
     path: Path
@@ -311,25 +377,36 @@ class ArtifactStore:
             raise StoreError(f"unsupported store object format in {path}")
         return envelope
 
-    def _verify_envelope(self, envelope: dict, path: Path) -> dict[str, Path]:
-        """Integrity-check content and blobs; return blob name → path."""
+    def _check_envelope(
+        self, envelope: dict, path: Path, stage: str
+    ) -> _Blobs:
+        """Verify the content digest and that every blob exists at its
+        recorded size (a ``stat``, no read); return the blobs mapping,
+        which verifies each blob's digest when it is opened."""
         content = envelope.get("content")
         recorded = envelope.get("content_digest")
         if content_digest(canonical_json(content)) != recorded:
             raise StoreError(f"content digest mismatch in {path}")
-        blobs: dict[str, Path] = {}
-        for name, meta in (envelope.get("blobs") or {}).items():
-            blob_path = self.root / meta["file"]
+        metas = envelope.get("blobs") or {}
+        for meta in metas.values():
             try:
-                data = _fio.read_bytes(blob_path)
+                size = os.stat(self.root / meta["file"]).st_size
             except OSError as exc:
                 raise StoreError(
                     f"missing blob {meta['file']} for {path}: {exc}"
                 ) from exc
-            if content_digest(data) != meta.get("digest"):
-                raise StoreError(f"blob digest mismatch: {meta['file']}")
-            blobs[name] = blob_path
-        return blobs
+            if size != meta.get("bytes"):
+                raise StoreError(f"blob size mismatch: {meta['file']}")
+        return _Blobs(self.root, metas, stage)
+
+    def _verify_envelope(self, envelope: dict, path: Path) -> dict[str, Path]:
+        """Integrity-check content and hash every blob in full (the
+        maintenance paths); return blob name → path."""
+        self._check_envelope(envelope, path, "")
+        return {
+            name: _hash_blob(self.root, meta)
+            for name, meta in (envelope.get("blobs") or {}).items()
+        }
 
     def get(
         self,
@@ -338,20 +415,13 @@ class ArtifactStore:
     ) -> Optional[Artifact]:
         """Fetch an artifact, verifying integrity on read.
 
-        Returns None on a miss. A corrupt artifact counts as a miss
-        (``on_error="miss"``, the default — the caller recomputes and
-        overwrites) or raises :class:`StoreError` (``on_error="raise"``).
+        Returns None on a miss. A corrupt envelope, or a missing or
+        resized blob, counts as a miss (``on_error="miss"``, the default
+        — the caller recomputes and overwrites) or raises
+        :class:`StoreError` (``on_error="raise"``). Blob digests are
+        verified when a blob is opened (see :class:`Artifact`).
         """
         stage = key.stage if isinstance(key, StoreKey) else ""
-        metrics = get_metrics()
-
-        def _count(name: str, stage_label: str) -> None:
-            if metrics.enabled:
-                c = metrics.counter(f"store.{name}", f"store {name} by stage")
-                c.inc()
-                if stage_label:
-                    c.labels(stage=stage_label).inc()
-
         path = self.object_path(key)
         if not path.exists():
             _count("misses", stage)
@@ -359,7 +429,7 @@ class ArtifactStore:
         try:
             envelope = self._load_envelope(path)
             stage = envelope.get("stage", stage) or stage
-            blobs = self._verify_envelope(envelope, path)
+            blobs = self._check_envelope(envelope, path, stage)
         except StoreError:
             _count("corrupt", stage)
             if on_error == "raise":

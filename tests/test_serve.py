@@ -242,6 +242,50 @@ class TestPredictSemantics:
         assert warm["ok"], warm
         assert m.snapshot()["serve.cache_hits"]["value"] == 1
 
+    def test_warm_predict_never_opens_the_trace_blob(self, service):
+        """A trace blob rotted at the same size is not read by a warm
+        request, which answers byte-identically; it is caught only
+        where the blob is opened (see ``test_store.py``)."""
+        assert service.handle("publish", {"alias": "cg.s4", **CG_S})["ok"]
+        request = {"alias": "cg.s4", "scenario": "cpu-one-node"}
+        first = service.handle("predict", request)
+        assert first["ok"], first
+        (blob,) = service.store.root.glob("store/blobs/*-trace")
+        data = bytearray(blob.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        blob.write_bytes(bytes(data))
+        with enabled_metrics() as m:
+            warm = service.handle("predict", request)
+        assert warm["ok"], warm
+        assert canonical_json(warm["result"]) == canonical_json(
+            first["result"]
+        )
+        snap = m.snapshot()
+        assert snap["serve.cache_hits"]["value"] == 1
+        assert "store.corrupt" not in snap
+
+    def test_warm_predict_hashes_only_small_artifacts(
+        self, service, monkeypatch
+    ):
+        """Regression guard, on a count not a wall time: one warm
+        predict of a published alias hashes the small envelopes it
+        reads, never the ~600 KB trace blob."""
+        import repro.store.store as store_mod
+
+        assert service.handle("publish", {"alias": "cg.s4", **CG_S})["ok"]
+        request = {"alias": "cg.s4", "scenario": "cpu-one-node"}
+        assert service.handle("predict", request)["ok"]
+        hashed = [0]
+        real = store_mod.content_digest
+
+        def counting(data):
+            hashed[0] += len(data)
+            return real(data)
+
+        monkeypatch.setattr(store_mod, "content_digest", counting)
+        assert service.handle("predict", request)["ok"]
+        assert 0 < hashed[0] < 64 * 1024
+
     def test_identical_concurrent_requests_coalesce(self, service):
         """Single flight: with one compute in flight, an identical
         request shares its future instead of recomputing."""

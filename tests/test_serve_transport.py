@@ -115,6 +115,49 @@ class TestWireProtocol:
                 ok = json.loads(fh.readline())
                 assert ok["ok"]
 
+    def test_oversized_line_gets_413_then_close(self, service):
+        """A line past MAX_LINE_BYTES is answered, counted and logged,
+        and its connection closed; fresh connections are unaffected."""
+        import io
+
+        from repro.obs.log import set_log_stream
+
+        log = io.StringIO()
+        previous = set_log_stream(log)
+        try:
+            with enabled_metrics() as m, ServerThread(service) as st:
+                with socket.create_connection(("127.0.0.1", st.port), 10) as s:
+                    pad = b"x" * (70 * 1024)
+                    s.sendall(b'{"verb": "ping", "pad": "' + pad + b'"}\n')
+                    fh = s.makefile("rb")
+                    reply = json.loads(fh.readline())
+                    assert fh.readline() == b""  # closed after the reply
+                assert reply["code"] == 413 and not reply["ok"]
+                assert reply["error"]["type"] == "RequestTooLarge"
+                assert st.client().call("ping")["ok"]
+                snap = m.snapshot()
+        finally:
+            set_log_stream(previous)
+        assert snap["serve.rejected"]["labels"] == {"reason=too_large": 1.0}
+        events = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert any(
+            e["event"] == "rejected" and e["reason"] == "too_large"
+            for e in events
+        )
+
+    def test_multi_megabyte_line_still_gets_413(self, service):
+        """Far past the stream buffer, the line's tail is drained before
+        the close, so the reply is not lost to a connection reset."""
+        with ServerThread(service) as st:
+            with socket.create_connection(("127.0.0.1", st.port), 10) as s:
+                s.sendall(b'{"verb": "ping", "pad": "'
+                          + b"x" * (4 << 20) + b'"}\n')
+                fh = s.makefile("rb")
+                reply = json.loads(fh.readline())
+                assert fh.readline() == b""
+            assert reply["code"] == 413
+            assert st.client().call("ping")["ok"]
+
     def test_unreachable_service_raises_serve_error(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -224,6 +267,32 @@ class TestDrain:
         with pytest.raises(ServeError):
             ServiceClient(port=port, timeout=2).call("ping")
 
+    def test_drain_with_idle_connection_is_quiet(self, service):
+        """Drain closes an idle connection (``Server.wait_closed`` waits
+        for every connection since Python 3.12) and its handler, parked
+        in ``readline``, ends cleanly: the client sees EOF and the
+        loop's exception handler is never called."""
+        reported = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: reported.append(ctx))
+            server = PredictionServer(service, port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(b'{"verb": "ping"}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            # The client keeps the connection open and idle.
+            await asyncio.wait_for(server.drain(), timeout=10)
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+
+        asyncio.run(main())
+        assert reported == []
+
 
 def _hang_on_marker(params, cache, cluster, bundle_cache=None):
     if params.get("env_seed") == 777:
@@ -287,6 +356,41 @@ class TestWorkerPool:
             # serves non-marker requests.
             assert pool.submit({"env_seed": 5}) == {"value": 5}
             assert pool.stats()["alive"] == 1
+        finally:
+            pool.close()
+
+    def test_worker_killed_mid_send_does_not_wedge_the_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """Kill hung workers whose heartbeat thread sends almost without
+        pause: a kill landing mid-send must not block the results of
+        the workers that replace them."""
+        import repro.predict.online as online
+
+        monkeypatch.setattr(online, "compute_prediction", _hang_on_marker)
+        pool = WorkerPool(
+            cache_dir=str(tmp_path),
+            workers=1,
+            supervisor=SupervisorConfig(
+                task_timeout=0.3,
+                grace_seconds=0.1,
+                heartbeat_interval=1e-5,
+            ),
+        )
+        try:
+            for round_ in range(5):
+                with pytest.raises(TaskTimeoutError):
+                    pool.submit({"env_seed": 777})
+                got = {}
+                waiter = threading.Thread(
+                    target=lambda: got.update(
+                        value=pool.submit({"env_seed": round_})
+                    ),
+                    daemon=True,
+                )
+                waiter.start()
+                waiter.join(15)  # pool.close() releases it on failure
+                assert got.get("value") == {"value": round_}, round_
         finally:
             pool.close()
 

@@ -21,10 +21,18 @@ from repro.store import (
     PipelineCache,
     canonical_json,
     content_digest,
+    fsck,
     resolve_cache_dir,
     scenario_fingerprint,
     workload_params,
 )
+
+def flip_byte(path) -> None:
+    """Rot one byte of a file in place, keeping its size."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
 
 TINY = ExperimentConfig(
     benchmarks=("cg",),
@@ -134,6 +142,54 @@ class TestArtifactStore:
         )
         store.get(key).blobs["b"].write_bytes(b"rotten")
         assert store.get(key) is None
+
+    def test_same_size_blob_rot_is_caught_on_open(self, tmp_path):
+        """``get`` checks blob sizes only; the digest is checked when
+        the blob is opened, and maintenance still hashes in full."""
+        store = ArtifactStore(tmp_path)
+        key = store.key("trace", {"p": 3})
+        store.put(
+            key, {}, blob_writers={"trace": lambda p: p.write_bytes(b"good")}
+        )
+        flip_byte(store.blob_path(key, "trace"))
+        with enabled_metrics() as m:
+            art = store.get(key)
+            assert art is not None
+            with pytest.raises(StoreError, match="blob digest mismatch"):
+                art.blobs["trace"]
+        snap = m.snapshot()
+        assert snap["store.hits"]["labels"] == {"stage=trace": 1.0}
+        assert snap["store.corrupt"]["labels"] == {"stage=trace": 1.0}
+        assert any("blob digest mismatch" in i for i in store.verify())
+        report = fsck(store)
+        assert report.corrupt_objects == [
+            str(store.object_path(key).relative_to(tmp_path))
+        ]
+
+    def test_blobs_mapping_is_read_only_and_verifies_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.store as store_mod
+
+        store = ArtifactStore(tmp_path)
+        key = store.key("trace", {"p": 4})
+        store.put(
+            key, {}, blob_writers={"trace": lambda p: p.write_bytes(b"x" * 64)}
+        )
+        art = store.get(key)
+        assert list(art.blobs) == ["trace"] and len(art.blobs) == 1
+        with pytest.raises(TypeError):
+            art.blobs["trace"] = tmp_path
+        with pytest.raises(KeyError):
+            art.blobs["nope"]
+        hashed = []
+        real = store_mod.content_digest
+        monkeypatch.setattr(
+            store_mod, "content_digest",
+            lambda data: hashed.append(len(data)) or real(data),
+        )
+        assert art.blobs["trace"] == art.blobs["trace"]
+        assert hashed == [64]
 
     def test_hit_miss_metrics_labelled_by_stage(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -256,6 +312,41 @@ class TestPipelineCache:
         cache.simulated_run(params, DEDICATED, 0, compute)
         assert len(calls) == 2
         assert ArtifactStore(tmp_path).entries() == []
+
+    def test_traced_run_recomputes_a_rotted_trace_blob(self, tmp_path):
+        """A trace blob that rotted at the same size fails its digest
+        on open; ``traced_run`` then recomputes and overwrites it."""
+        from repro.cluster.topology import paper_testbed
+        from repro.trace.io import read_trace
+        from repro.trace.tracer import trace_program
+        from repro.workloads import get_program
+
+        cluster = paper_testbed()
+        store = ArtifactStore(tmp_path)
+        cache = PipelineCache(store, cluster)
+        program = get_program("cg", "S", 4, 12345)
+        params = workload_params("cg", "S", 4, 12345)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return trace_program(program, cluster)
+
+        _, first = cache.traced_run(params, compute)
+        key = cache.trace_key(params)
+        good = store.blob_path(key, "trace").read_bytes()
+        flip_byte(store.blob_path(key, "trace"))
+        with enabled_metrics() as m:
+            trace, again = cache.traced_run(params, compute)
+        assert len(calls) == 2
+        assert m.snapshot()["store.corrupt"]["labels"] == {"stage=trace": 1.0}
+        assert again == first
+        # Overwritten: the blob is whole again and the next open verifies.
+        assert store.blob_path(key, "trace").read_bytes() == good
+        reread = read_trace(store.get(key).blobs["trace"])
+        assert reread.n_calls() == trace.n_calls()
+        cache.traced_run(params, compute)
+        assert len(calls) == 2
 
     def test_scenario_fingerprint_distinguishes_scenarios(self):
         from repro.cluster.scenarios import paper_scenarios
