@@ -915,8 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="artifact store root (default: $REPRO_CACHE_DIR "
                    "or <project root>/.repro_cache)")
     p.add_argument("--campaign-timeline", default=None, metavar="PATH",
-                   help="with --workers: write per-worker task spans as "
-                   "a Perfetto-loadable Chrome trace")
+                   help="write the campaign's task spans as a "
+                   "Perfetto-loadable Chrome trace, one lane per worker "
+                   "(a serial campaign uses lane 0)")
     p.add_argument("--diagnose", action="store_true",
                    help="also emit a per-scenario divergence report "
                    "(prediction-error decomposition; persisted in the "

@@ -16,61 +16,44 @@ results — is memoized in the content-addressed artifact store under
 the resolved cache root (``REPRO_CACHE_DIR`` or
 ``<project root>/.repro_cache``). A warm store re-runs the campaign
 with zero recomputation; ``force=True`` only bypasses the *results*
-artifact, still reusing per-stage artifacts. Campaign results written
-by older versions as ``results-<key>.json`` are still read (legacy
-shim).
+artifact, still reusing per-stage artifacts.
 
-Parallelism (see :mod:`repro.parallel`): ``workers > 1`` fans the
-campaign's runs out over worker processes; results are byte-identical
-to serial execution (same seeds, order-independent aggregation).
+Execution (see :mod:`repro.parallel.scheduler`): the campaign is one
+task graph with one executor. ``workers == 1`` runs it inline in this
+process; ``workers > 1`` fans it out over worker processes. Results
+are byte-identical either way (same seeds, serial-order assembly).
 
 Resilience (see :mod:`repro.faults.resilience` and
 :mod:`repro.experiments.journal`):
 
-* every run executes under a :class:`~repro.faults.resilience.RetryPolicy`
-  — wall-clock timeout plus bounded, seed-stable retries of host-level
-  failures;
-* a run that fails permanently becomes a structured record in
+* every task (simulated run or skeleton build) executes under a
+  :class:`~repro.faults.resilience.RetryPolicy` — wall-clock timeout
+  plus bounded, seed-stable retries of host-level failures;
+* a task that fails permanently becomes a structured record in
   ``ExperimentResults.failures`` for its benchmark instead of killing
   the campaign (remaining benchmarks still run);
 * every completed run is journaled (JSON-lines, fsync'd), so a killed
-  campaign resumed with ``run(resume=True)`` re-executes zero
-  completed runs and produces byte-identical results.
+  campaign resumed with ``run(resume=True)`` — with any worker count —
+  re-executes zero completed runs and produces byte-identical results.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.cluster.scenarios import paper_scenarios, volatile_scenarios
 from repro.cluster.topology import Cluster, paper_testbed
-from repro.core.construct import build_skeleton
-from repro.errors import ExperimentError, SkeletonQualityWarning, StoreError, TraceError
+from repro.errors import ExperimentError, StoreError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.journal import CampaignJournal
-from repro.faults.resilience import RetryPolicy, resilient_call
-from repro.obs.metrics import get_metrics
+from repro.faults.resilience import RetryPolicy
 from repro.predict.metrics import prediction_error_percent
-from repro.sim.engine import RunResult
-from repro.sim.program import run_program
-from repro.store.memo import (
-    PipelineCache,
-    skeleton_program_params,
-    workload_params,
-)
+from repro.store.memo import PipelineCache
 from repro.store.store import ArtifactStore, DEFAULT_CACHE_DIR_NAME, resolve_cache_dir
-from repro.trace.analysis import activity_breakdown
-from repro.trace.io import read_trace, write_trace
-from repro.trace.tracer import trace_program
-from repro.util.rng import derive_seed
-from repro.workloads import get_program
 
 #: Kept for backwards compatibility: the cache directory *basename*.
 #: The effective default location is resolved by
@@ -193,53 +176,15 @@ class ExperimentResults:
         return ExperimentResults.from_dict(json.loads(text))
 
 
-class _CampaignProgress:
-    """Per-run progress accounting: counters and a wall-clock ETA."""
-
-    def __init__(self, total_runs: int):
-        self.total = total_runs
-        self.done = 0
-        self._t0 = time.perf_counter()
-
-    def record(self) -> None:
-        self.done += 1
-
-    def eta_seconds(self) -> float:
-        """Remaining wall time extrapolated from the completed runs."""
-        if self.done == 0:
-            return float("nan")
-        rate = (time.perf_counter() - self._t0) / self.done
-        return rate * (self.total - self.done)
-
-    def line(
-        self, run_id: str, scenario: str, seed: int, sim: float, wall: float
-    ) -> str:
-        """One structured per-run log line."""
-        return (
-            f"run {self.done}/{self.total} id={run_id} "
-            f"scenario={scenario} seed={seed} "
-            f"sim={sim:.3f}s wall={wall:.2f}s eta={self.eta_seconds():.0f}s"
-        )
-
-
-class _RunFailed(Exception):
-    """Internal: one campaign run failed permanently (after retries)."""
-
-    def __init__(self, key: str, cause: BaseException):
-        super().__init__(f"{key}: {type(cause).__name__}: {cause}")
-        self.key = key
-        self.cause = cause
-
-
 class ExperimentRunner:
     """Runs (or loads) one experiment campaign.
 
     ``retry_policy`` governs per-run resilience (timeout, retries); it
     deliberately lives here and not on :class:`ExperimentConfig`, so
-    tuning it never invalidates cached results. ``workers > 1``
-    executes the campaign on a multiprocess scheduler
-    (:mod:`repro.parallel`) with byte-identical results. ``use_store``
-    turns stage memoization off (runs still journal and cache results).
+    tuning it never invalidates cached results. ``workers`` picks the
+    campaign executor's driver (:mod:`repro.parallel.scheduler`): 1
+    runs the task graph inline, N > 1 on N worker processes, with
+    byte-identical results.
     """
 
     def __init__(
@@ -251,7 +196,6 @@ class ExperimentRunner:
         retry_policy: Optional[RetryPolicy] = None,
         workers: int = 1,
         store: Optional[ArtifactStore] = None,
-        use_store: bool = True,
         supervisor=None,
         journal_durability: str = "fsync",
     ):
@@ -272,14 +216,14 @@ class ExperimentRunner:
             raise ExperimentError("workers must be >= 1")
         self.workers = int(workers)
         self.store = store or ArtifactStore(self.cache_dir)
-        self.pipeline = PipelineCache(self.store, self.cluster, enabled=use_store)
+        self.pipeline = PipelineCache(self.store, self.cluster)
         self.scenarios = campaign_scenarios(self.config)
         #: Runs actually executed / reconstructed from the journal in
         #: the last ``run()`` call (resume accounting, used by tests).
         self.n_executed = 0
         self.n_resumed = 0
-        #: Per-task worker spans of the last parallel run (for the
-        #: campaign timeline export); empty after serial runs.
+        #: Per-task worker spans of the last run (for the campaign
+        #: timeline export); serial runs use worker lane 0.
         self.campaign_spans: list = []
         self._journal: Optional[CampaignJournal] = None
         self._journal_state: dict[str, dict] = {}
@@ -297,107 +241,23 @@ class ExperimentRunner:
         return self.store.object_path(self.results_key)
 
     @property
-    def legacy_cache_path(self) -> Path:
-        """Pre-store results location (read-only compatibility shim)."""
-        return self.cache_dir / f"results-{self.config.key()}.json"
-
-    @property
     def journal_path(self) -> Path:
         return self.cache_dir / f"journal-{self.config.key()}.jsonl"
 
     def load_cached(self) -> Optional[ExperimentResults]:
-        """Load the campaign's results artifact, or a legacy
-        ``results-<key>.json`` file when the store has none."""
+        """Load the campaign's results artifact (None when absent)."""
         try:
             artifact = self.store.get(self.results_key, on_error="raise")
         except StoreError as exc:
             raise ExperimentError(
                 f"corrupt results artifact {self.cache_path}: {exc}"
             ) from exc
-        if artifact is not None:
-            return ExperimentResults.from_dict(artifact.content)
-        legacy = self.legacy_cache_path
-        if legacy.exists():
-            try:
-                return ExperimentResults.from_json(legacy.read_text())
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ExperimentError(
-                    f"corrupt cache file {legacy}: {exc}"
-                ) from exc
-        return None
+        if artifact is None:
+            return None
+        return ExperimentResults.from_dict(artifact.content)
 
     def _store_results(self, results: ExperimentResults) -> None:
         self.store.put(self.results_key, results.to_dict())
-
-    # -- journal ---------------------------------------------------------
-
-    def _trace_file(self, key: str) -> Path:
-        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        return self.cache_dir / "traces" / f"{digest}.trace"
-
-    def _journal_ok(self, key: str, value) -> None:
-        """Journal one successful run (storing its trace, if any)."""
-        if self._journal is None:
-            return
-        traced = isinstance(value, tuple)
-        result: RunResult = value[1] if traced else value
-        entry = {
-            "status": "ok",
-            "result": {
-                "program": result.program_name,
-                "scenario": result.scenario_name,
-                "nranks": result.nranks,
-                "finish_times": list(result.finish_times),
-                "elapsed": result.elapsed,
-                "n_messages": result.n_messages,
-                "n_events": result.n_events,
-            },
-        }
-        if traced:
-            path = self._trace_file(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_trace(value[0], path)
-            entry["trace_file"] = str(path.relative_to(self.cache_dir))
-        self._journal.record(key, entry)
-
-    def _journal_failed(self, key: str, exc: BaseException, attempts: int) -> None:
-        if self._journal is None:
-            return
-        self._journal.record(
-            key,
-            {
-                "status": "failed",
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "attempts": attempts,
-            },
-        )
-
-    def _reconstruct(self, entry: dict):
-        """Rebuild a run's value from its journal entry, or None if the
-        journaled artifacts are unusable (forces re-execution)."""
-        res = entry.get("result")
-        if not isinstance(res, dict):
-            return None
-        try:
-            result = RunResult(
-                program_name=str(res["program"]),
-                scenario_name=str(res["scenario"]),
-                nranks=int(res["nranks"]),
-                finish_times=tuple(float(t) for t in res["finish_times"]),
-                elapsed=float(res["elapsed"]),
-                n_messages=int(res["n_messages"]),
-                n_events=int(res["n_events"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-        if "trace_file" not in entry:
-            return result
-        try:
-            trace = read_trace(self.cache_dir / entry["trace_file"])
-        except (OSError, TraceError):
-            return None
-        return trace, result
 
     # -- execution ---------------------------------------------------------
 
@@ -407,225 +267,10 @@ class ExperimentRunner:
 
     def _planned_runs(self) -> int:
         """Total simulated runs the campaign will execute (for ETA)."""
-        cfg = self.config
-        nscen = len(self.scenarios)
-        per_bench = (
-            (1 + nscen)                                   # app: trace + scenarios
-            + len(cfg.skeleton_targets) * (1 + nscen)     # skeletons
-            + (1 + nscen)                                 # Class S baseline
-        )
-        return len(cfg.benchmarks) * per_bench
+        from repro.parallel.tasks import campaign_tasks
 
-    def _app_params(self, bench: str, klass: str) -> dict:
-        cfg = self.config
-        return workload_params(bench, klass, cfg.nprocs, cfg.workload_seed)
-
-    def _measure(
-        self,
-        progress: _CampaignProgress,
-        run_id: str,
-        scenario_name: str,
-        seed: int,
-        fn: Callable,
-    ):
-        """Execute one run resiliently, journal it, count it.
-
-        ``fn`` returns either a ``RunResult`` or a ``(trace, RunResult)``
-        pair; the value is passed through unchanged. Runs already in
-        the loaded journal are reconstructed instead of re-executed.
-        A run that still fails after retries is journaled as a failure
-        and surfaces as :class:`_RunFailed`.
-        """
-        key = f"{run_id}::{scenario_name}::{seed}"
-        metrics = get_metrics()
-        entry = self._journal_state.get(key)
-        if entry is not None and entry.get("status") == "ok":
-            value = self._reconstruct(entry)
-            if value is not None:
-                self.n_resumed += 1
-                progress.record()
-                if metrics.enabled:
-                    metrics.counter(
-                        "campaign.resumed", "runs reconstructed from journal"
-                    ).inc()
-                self._log(f"resumed from journal: {key}")
-                return value
-
-        def _on_retry(attempt: int, exc: BaseException) -> None:
-            if metrics.enabled:
-                metrics.counter("campaign.retries", "campaign run retries").inc()
-            self._log(f"retry {attempt} for {key}: {type(exc).__name__}: {exc}")
-
-        t0 = time.perf_counter()
-        try:
-            value, attempts = resilient_call(
-                fn, self.retry_policy, on_retry=_on_retry
-            )
-        except Exception as exc:
-            if metrics.enabled:
-                metrics.counter("campaign.failures", "campaign runs failed").inc()
-            self._journal_failed(
-                key, exc,
-                getattr(exc, "attempts", self.retry_policy.max_attempts),
-            )
-            raise _RunFailed(key, exc) from exc
-        wall = time.perf_counter() - t0
-        result = value[1] if isinstance(value, tuple) else value
-        self.n_executed += 1
-        progress.record()
-        if metrics.enabled:
-            metrics.counter("campaign.runs", "campaign runs completed").inc()
-            metrics.histogram(
-                "campaign.run_wall_seconds", "wall time per campaign run"
-            ).observe(wall)
-        self._journal_ok(key, value)
-        self._log(progress.line(run_id, scenario_name, seed, result.elapsed, wall))
-        return value
-
-    def _run_benchmark(
-        self, bench: str, results: ExperimentResults, progress: _CampaignProgress
-    ) -> None:
-        """The full per-benchmark matrix; raises :class:`_RunFailed` on
-        the first run that fails permanently."""
-        cfg = self.config
-        env = cfg.environment_seed
-        pipeline = self.pipeline
-        program = get_program(bench, cfg.klass, cfg.nprocs, cfg.workload_seed)
-        app_params = self._app_params(bench, cfg.klass)
-        trace, ded = self._measure(
-            progress, f"{bench}.{cfg.klass}/trace", "dedicated", 0,
-            lambda: pipeline.traced_run(
-                app_params, lambda: trace_program(program, self.cluster)
-            ),
-        )
-        breakdown = activity_breakdown(trace)
-        app_entry = {
-            "dedicated": ded.elapsed,
-            "mpi_percent": breakdown.mpi_percent,
-            "compute_percent": breakdown.compute_percent,
-            "n_calls": trace.n_calls(),
-            "scenarios": {},
-        }
-        for scen in self.scenarios:
-            seed = derive_seed(env, "app", bench, scen.name)
-            run = self._measure(
-                progress, f"{bench}.{cfg.klass}/app", scen.name, seed,
-                lambda: pipeline.simulated_run(
-                    app_params, scen, seed,
-                    lambda: run_program(program, self.cluster, scen, seed=seed),
-                ),
-            )
-            app_entry["scenarios"][scen.name] = run.elapsed
-        results.apps[bench] = app_entry
-
-        # Skeletons of every target size. The skeleton is keyed by the
-        # digest of the trace artifact it derives from.
-        trace_digest = pipeline.trace_key(app_params).digest
-        results.skeletons[bench] = {}
-        for target in cfg.skeleton_targets:
-            def _build(trace=trace, target=target):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", SkeletonQualityWarning)
-                    return build_skeleton(trace, target_seconds=target)
-
-            bundle = pipeline.skeleton(trace_digest, target, _build)
-            skel_digest = pipeline.skeleton_key(trace_digest, target).digest
-            skel_params = skeleton_program_params(skel_digest)
-            skel_id = f"{bench}.{cfg.klass}/skel-{target:g}"
-            skel_trace, skel_ded = self._measure(
-                progress, skel_id, "dedicated", 0,
-                lambda: pipeline.traced_run(
-                    skel_params,
-                    lambda: trace_program(bundle.program, self.cluster),
-                ),
-            )
-            skel_breakdown = activity_breakdown(skel_trace)
-            entry = {
-                "K": bundle.K,
-                "threshold": bundle.signature.threshold,
-                "compression_ratio": bundle.signature.compression_ratio,
-                "dedicated": skel_ded.elapsed,
-                "mpi_percent": skel_breakdown.mpi_percent,
-                "compute_percent": skel_breakdown.compute_percent,
-                "min_good": bundle.goodness.min_good_seconds,
-                "flagged": bundle.flagged,
-                "scenarios": {},
-            }
-            for scen in self.scenarios:
-                seed = derive_seed(env, "skel", bench, target, scen.name)
-                run = self._measure(
-                    progress, skel_id, scen.name, seed,
-                    lambda: pipeline.simulated_run(
-                        skel_params, scen, seed,
-                        lambda: run_program(
-                            bundle.program, self.cluster, scen, seed=seed
-                        ),
-                    ),
-                )
-                entry["scenarios"][scen.name] = run.elapsed
-            results.skeletons[bench][f"{target:g}"] = entry
-            self._log(
-                f"  skeleton {target:g}s: K={bundle.K:.1f} "
-                f"dedicated={skel_ded.elapsed:.3f}s"
-            )
-
-        # Class S baseline runs.
-        s_prog = get_program(
-            bench, cfg.baseline_klass, cfg.nprocs, cfg.workload_seed
-        )
-        s_params = self._app_params(bench, cfg.baseline_klass)
-        s_id = f"{bench}.{cfg.baseline_klass}/class-s"
-        from repro.cluster.contention import DEDICATED
-
-        s_ded = self._measure(
-            progress, s_id, "dedicated", 0,
-            lambda: pipeline.simulated_run(
-                s_params, DEDICATED, 0,
-                lambda: run_program(s_prog, self.cluster),
-            ),
-        )
-        s_entry = {"dedicated": s_ded.elapsed, "scenarios": {}}
-        for scen in self.scenarios:
-            seed = derive_seed(env, "class_s", bench, scen.name)
-            run = self._measure(
-                progress, s_id, scen.name, seed,
-                lambda: pipeline.simulated_run(
-                    s_params, scen, seed,
-                    lambda: run_program(s_prog, self.cluster, scen, seed=seed),
-                ),
-            )
-            s_entry["scenarios"][scen.name] = run.elapsed
-        results.class_s[bench] = s_entry
-
-    def _run_serial(self, progress: _CampaignProgress) -> ExperimentResults:
-        cfg = self.config
-        from dataclasses import asdict
-
-        results = ExperimentResults(
-            config={k: list(v) if isinstance(v, tuple) else v
-                    for k, v in asdict(cfg).items()},
-            scenario_names=[s.name for s in self.scenarios],
-        )
-        for bench in cfg.benchmarks:
-            try:
-                self._run_benchmark(bench, results, progress)
-            except _RunFailed as fail:
-                # Crash isolation: drop the benchmark's partial
-                # measurements, keep a structured failure record,
-                # and carry on with the remaining benchmarks.
-                results.apps.pop(bench, None)
-                results.skeletons.pop(bench, None)
-                results.class_s.pop(bench, None)
-                results.failures[bench] = {
-                    "run": fail.key,
-                    "error_type": type(fail.cause).__name__,
-                    "error": str(fail.cause),
-                    "attempts": getattr(
-                        fail.cause, "attempts", self.retry_policy.max_attempts
-                    ),
-                }
-                self._log(f"benchmark {bench} FAILED: {fail}")
-        return results
+        tasks = campaign_tasks(self.config, self.scenarios)
+        return sum(t.is_run for t in tasks)
 
     def run(self, force: bool = False, resume: bool = False) -> ExperimentResults:
         """Run (or load) the campaign.
@@ -655,12 +300,11 @@ class ExperimentRunner:
         self.n_resumed = 0
         self.campaign_spans = []
 
-        progress = _CampaignProgress(self._planned_runs())
         self._log(
             f"campaign: {len(cfg.benchmarks)} benchmarks x "
             f"{len(self.scenarios)} scenarios x "
             f"{len(cfg.skeleton_targets)} skeleton sizes = "
-            f"{progress.total} runs"
+            f"{self._planned_runs()} runs"
             + (f" on {self.workers} workers" if self.workers > 1 else "")
         )
         if resume and self._journal_state:
@@ -670,12 +314,10 @@ class ExperimentRunner:
             )
 
         try:
-            if self.workers > 1:
-                from repro.parallel.scheduler import run_parallel_campaign
+            # Deferred import: repro.parallel pulls in this module.
+            from repro.parallel.scheduler import run_campaign
 
-                results = run_parallel_campaign(self)
-            else:
-                results = self._run_serial(progress)
+            results = run_campaign(self)
         finally:
             journal.close()
             self._journal = None
@@ -691,7 +333,7 @@ class ExperimentRunner:
         return results
 
     def write_campaign_timeline(self, path: Union[str, os.PathLike]) -> int:
-        """Export the last parallel run's per-worker task spans as a
+        """Export the last run's per-worker task spans as a
         Perfetto-loadable Chrome trace; returns the span count."""
         from repro.parallel.scheduler import write_campaign_timeline
 

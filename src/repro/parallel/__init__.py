@@ -1,10 +1,11 @@
-"""Multiprocess campaign execution.
+"""Campaign execution: one task graph, one executor.
 
 * :mod:`repro.parallel.tasks` — flattens a campaign into a dependency-
-  annotated task list with serial-compatible journal keys;
-* :mod:`repro.parallel.scheduler` — runs that list on N worker
-  processes with dead-worker recovery, parent-side journaling, and
-  byte-identical-to-serial result assembly;
+  annotated task list whose keys are the campaign journal's keys;
+* :mod:`repro.parallel.scheduler` — the executor: runs that list
+  inline (one worker) or on N worker processes with dead-worker
+  recovery, parent-side journaling, and serial-order result assembly,
+  so every worker count gives byte-identical results;
 * :mod:`repro.parallel.supervisor` — heartbeat- and deadline-based
   hang detection for those workers (``--task-timeout``).
 
@@ -13,7 +14,7 @@ Entry point: ``ExperimentRunner(..., workers=N).run()`` or
 """
 
 from repro.parallel.tasks import CampaignTask, campaign_tasks
-from repro.parallel.scheduler import run_parallel_campaign, write_campaign_timeline
+from repro.parallel.scheduler import run_campaign, write_campaign_timeline
 from repro.parallel.supervisor import Supervisor, SupervisorConfig
 
 __all__ = [
@@ -21,6 +22,6 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "campaign_tasks",
-    "run_parallel_campaign",
+    "run_campaign",
     "write_campaign_timeline",
 ]

@@ -1,20 +1,33 @@
-"""Multiprocess campaign scheduler with crash isolation.
+"""The campaign executor: one task graph, two drivers.
 
-``run_parallel_campaign(runner)`` executes an experiment campaign's
-task graph (:mod:`repro.parallel.tasks`) on ``runner.workers`` worker
-processes:
+``run_campaign(runner)`` executes an experiment campaign's task graph
+(:mod:`repro.parallel.tasks`). One set of parent-side code replays the
+journal on resume, promotes tasks whose dependencies are met into a
+ready list, journals and counts every task payload (:func:`_run_task`
+builds them all), and assembles the results. Two small drivers feed it:
 
-* the parent keeps a ready queue in serial order; idle workers pull
-  the next ready task from it (dynamic load balancing — a worker stuck
-  on a slow skeleton build never blocks the others);
+* ``runner.workers == 1`` — the inline driver runs the lowest-index
+  ready task in this process, on the runner's own artifact store: the
+  order of the campaign's nested loops;
+* ``runner.workers > 1`` — the pool driver hands ready tasks to worker
+  processes as they go idle (dynamic load balancing — a worker stuck
+  on a slow skeleton build never blocks the others).
+
+Serial and parallel campaigns are therefore one executor, and their
+results are **byte-identical** by construction: results are assembled
+in serial iteration order from the payloads (the simulator is
+deterministic and floats round-trip exactly; see ``docs/SCALING.md``),
+and both drivers write the same journal entries, so either resumes the
+other's journal.
+
+The pool driver adds crash isolation:
+
 * workers share nothing but the on-disk artifact store
   (:mod:`repro.store`): every task's inputs are re-derived from the
   pickled campaign config or fetched from the store by content
   address, so tasks can run on any worker in any order;
-* the parent is the only journal writer — workers report results over
-  their own pipes and the parent appends journal entries in the serial
-  runner's exact shapes, so parallel and serial campaigns resume each
-  other's journals;
+* the parent is the only journal writer — workers report payloads
+  over their own pipes;
 * a worker that dies (killed, OOM, crashed) is detected by the
   parent: its in-flight task is re-queued (up to
   ``RetryPolicy.max_attempts`` losses, then the benchmark fails with
@@ -29,14 +42,10 @@ processes:
   :class:`~repro.errors.TaskTimeoutError` on exhaustion. Each worker
   has a pipe of its own: a worker killed halfway through a send can
   only cut its own channel, where a shared queue's write lock would
-  stay held by the dead process and block every later result;
-* results are assembled in serial iteration order from the reported
-  payloads, so a parallel campaign's results are **byte-identical**
-  to a serial run's (the simulator is deterministic and floats
-  round-trip exactly; see ``docs/SCALING.md``).
+  stay held by the dead process and block every later result.
 
-Per-task spans (which worker ran what, when) are collected into
-``runner.campaign_spans`` and exported by
+Per-task spans (which worker ran what, when; serial runs use worker
+lane 0) are collected into ``runner.campaign_spans`` and exported by
 :func:`write_campaign_timeline` as a Chrome trace with one lane per
 worker — the campaign-level sibling of
 :class:`repro.obs.timeline.TimelineRecorder`.
@@ -58,7 +67,7 @@ from repro.cluster.contention import DEDICATED
 from repro.core.construct import build_skeleton
 from repro.errors import ExperimentError, SkeletonQualityWarning, TraceError
 from repro.experiments.journal import CampaignJournal
-from repro.faults.resilience import RetryPolicy, resilient_call
+from repro.faults.resilience import resilient_call
 from repro.obs.metrics import get_metrics
 from repro.parallel.supervisor import Supervisor, SupervisorConfig
 from repro.parallel.tasks import (
@@ -85,7 +94,7 @@ from repro.trace.tracer import trace_program
 from repro.util.rng import derive_seed
 from repro.workloads import get_program
 
-__all__ = ["run_parallel_campaign", "write_campaign_timeline"]
+__all__ = ["run_campaign", "write_campaign_timeline"]
 
 #: Kinds whose payload carries a trace file and activity breakdown.
 _TRACED_KINDS = (KIND_TRACE, KIND_SKEL_TRACE)
@@ -108,16 +117,15 @@ def _preferred_context():
 
 
 class _WorkerState:
-    """Per-worker-process caches: store handles and derived objects."""
+    """Per-executor caches over one pipeline: programs, traces and
+    skeleton bundles (a worker process's, or the inline driver's)."""
 
-    def __init__(self, config, cluster, cache_dir):
+    def __init__(self, config, cluster, pipeline: PipelineCache):
         from repro.experiments.runner import campaign_scenarios
 
         self.config = config
         self.cluster = cluster
-        self.cache_dir = cache_dir
-        self.store = ArtifactStore(cache_dir)
-        self.pipeline = PipelineCache(self.store, cluster)
+        self.pipeline = pipeline
         self.scenarios = {s.name: s for s in campaign_scenarios(config)}
         self._programs: dict = {}
         self._traces: dict = {}
@@ -175,8 +183,8 @@ def _breakdown(trace) -> dict:
 
 
 def _trace_blob_rel(state: _WorkerState, key) -> str:
-    path = state.store.blob_path(key, "trace")
-    return str(path.relative_to(state.store.root))
+    store = state.pipeline.store
+    return str(store.blob_path(key, "trace").relative_to(store.root))
 
 
 def _execute_task(state: _WorkerState, task: CampaignTask, policy) -> dict:
@@ -187,7 +195,9 @@ def _execute_task(state: _WorkerState, task: CampaignTask, policy) -> dict:
     pipeline = state.pipeline
 
     if task.kind == KIND_SKEL_BUILD:
-        bundle = state.bundle(task.bench, task.target)
+        bundle, attempts = resilient_call(
+            lambda: state.bundle(task.bench, task.target), policy
+        )
         params = state.app_params(task.bench, cfg.klass)
         trace_digest = pipeline.trace_key(params).digest
         skel_key = pipeline.skeleton_key(trace_digest, task.target)
@@ -199,7 +209,8 @@ def _execute_task(state: _WorkerState, task: CampaignTask, policy) -> dict:
                 "min_good": bundle.goodness.min_good_seconds,
                 "flagged": bundle.flagged,
                 "digest": skel_key.digest,
-            }
+            },
+            "attempts": attempts,
         }
 
     if task.kind == KIND_TRACE:
@@ -293,6 +304,37 @@ def _execute_task(state: _WorkerState, task: CampaignTask, policy) -> dict:
     raise ExperimentError(f"unknown campaign task kind {task.kind!r}")
 
 
+def _run_task(
+    state: _WorkerState, task: CampaignTask, policy, worker_id: int
+) -> dict:
+    """Run one task; return its full payload (status, timing, lane).
+
+    A task failure becomes a ``"failed"`` payload, never an exception,
+    so it cannot end a driver's loop; ``KeyboardInterrupt`` and other
+    non-``Exception`` signals still propagate.
+    """
+    t0 = time.time()
+    try:
+        payload = _execute_task(state, task, policy)
+        payload["status"] = "ok"
+    except Exception as exc:
+        payload = {
+            "status": "failed",
+            "error": str(exc),
+            "error_type": type(exc).__name__,
+            # resilient_call sets it; anything raised outside ran once.
+            "attempts": getattr(exc, "attempts", 1),
+        }
+    payload.update(
+        key=task.key,
+        kind=task.kind,
+        worker=worker_id,
+        t_start=t0,
+        t_end=time.time(),
+    )
+    return payload
+
+
 def _worker_main(
     worker_id, config, cluster, cache_dir, policy, heartbeat_interval,
     kill_at, hang_at, task_q, result_conn,
@@ -311,7 +353,9 @@ def _worker_main(
     makes it sleep ``seconds`` while *holding* its n-th task, to
     exercise hang detection. Both are deterministic.
     """
-    state = _WorkerState(config, cluster, cache_dir)
+    state = _WorkerState(
+        config, cluster, PipelineCache(ArtifactStore(cache_dir), cluster)
+    )
     received = 0
     seq = 0
     send_lock = threading.Lock()
@@ -344,25 +388,7 @@ def _worker_main(
             os.kill(os.getpid(), signal.SIGKILL)
         if hang_at is not None and received == hang_at[0]:
             time.sleep(hang_at[1])
-        t0 = time.time()
-        try:
-            payload = _execute_task(state, task, policy)
-            payload["status"] = "ok"
-        except Exception as exc:  # report, never kill the worker loop
-            payload = {
-                "status": "failed",
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "attempts": getattr(exc, "attempts", policy.max_attempts),
-            }
-        payload.update(
-            key=task.key,
-            kind=task.kind,
-            worker=worker_id,
-            t_start=t0,
-            t_end=time.time(),
-        )
-        send(payload)
+        send(_run_task(state, task, policy, worker_id))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +474,7 @@ def _payload_from_journal(runner, task: CampaignTask, entry: dict):
         if not rel:
             return None
         try:
-            trace = read_trace(runner.cache_dir / rel)
+            trace = read_trace(runner.store.root / rel)
         except (OSError, TraceError):
             return None
         payload["trace_file"] = rel
@@ -457,7 +483,7 @@ def _payload_from_journal(runner, task: CampaignTask, entry: dict):
 
 
 def _journal_entry(payload: dict) -> dict:
-    """The journal entry for a payload, in the serial runner's shape."""
+    """The journal entry for a payload."""
     if payload["status"] != "ok":
         return {
             "status": "failed",
@@ -476,8 +502,10 @@ def _journal_entry(payload: dict) -> dict:
 def _assemble(runner, scenarios, payloads: dict, bench_failures: dict):
     """Build ExperimentResults from payloads in serial iteration order.
 
-    Insertion order of every dict mirrors the serial runner exactly, so
-    ``to_json()`` of a parallel campaign is byte-identical to serial.
+    Every dict's insertion order follows the campaign's nested loops
+    (benchmark, then app runs, skeleton sizes, Class S), never the
+    order tasks finished in, so ``to_json()`` does not depend on the
+    driver or the worker count.
     """
     from dataclasses import asdict
 
@@ -553,39 +581,55 @@ def _assemble(runner, scenarios, payloads: dict, bench_failures: dict):
     return results
 
 
-def run_parallel_campaign(
+class _CampaignProgress:
+    """Per-run progress accounting: counters and a wall-clock ETA."""
+
+    def __init__(self, total_runs: int):
+        self.total = total_runs
+        self.done = 0
+        self._t0 = time.perf_counter()
+
+    def record(self) -> None:
+        self.done += 1
+
+    def eta_seconds(self) -> float:
+        """Remaining wall time extrapolated from the completed runs."""
+        if self.done == 0:
+            return float("nan")
+        rate = (time.perf_counter() - self._t0) / self.done
+        return rate * (self.total - self.done)
+
+    def line(
+        self, run_id: str, scenario: str, seed: int, sim: float, wall: float
+    ) -> str:
+        """One structured per-run log line."""
+        return (
+            f"run {self.done}/{self.total} id={run_id} "
+            f"scenario={scenario} seed={seed} "
+            f"sim={sim:.3f}s wall={wall:.2f}s eta={self.eta_seconds():.0f}s"
+        )
+
+
+def run_campaign(
     runner,
     kill_plan: Optional[dict] = None,
     hang_plan: Optional[dict] = None,
 ):
-    """Execute ``runner``'s campaign on ``runner.workers`` processes.
+    """Execute ``runner``'s campaign: inline when ``runner.workers`` is
+    1, else on that many worker processes.
 
     Called by :meth:`ExperimentRunner.run` (which owns the journal
-    lifecycle and the results artifact). ``kill_plan`` is a test hook:
-    ``{worker_id: n}`` SIGKILLs that worker on its n-th task — applied
-    to the first incarnation only, so recovery always converges.
-    ``hang_plan`` (``{worker_id: (n, seconds)}``) instead stalls the
-    worker on its n-th task, exercising the supervisor.
+    lifecycle and the results artifact). ``kill_plan`` is a test hook
+    for the pool driver: ``{worker_id: n}`` SIGKILLs that worker on its
+    n-th task — applied to the first incarnation only, so recovery
+    always converges. ``hang_plan`` (``{worker_id: (n, seconds)}``)
+    instead stalls the worker on its n-th task, exercising the
+    supervisor.
     """
-    from repro.experiments.runner import _CampaignProgress
-
-    if not runner.pipeline.enabled:
-        raise ExperimentError(
-            "parallel campaigns require the artifact store (use_store=True): "
-            "workers exchange traces and skeletons by content address"
-        )
-    kill_plan = dict(
-        kill_plan or getattr(runner, "_campaign_kill_plan", None) or {}
-    )
-    hang_plan = dict(
-        hang_plan or getattr(runner, "_campaign_hang_plan", None) or {}
-    )
     cfg = runner.config
     policy = runner.retry_policy
     scenarios = runner.scenarios
     metrics = get_metrics()
-    sup_cfg = getattr(runner, "supervisor", None) or SupervisorConfig()
-    supervisor = Supervisor(sup_cfg)
     journal: Optional[CampaignJournal] = runner._journal
     tasks = campaign_tasks(cfg, scenarios)
     progress = _CampaignProgress(sum(1 for t in tasks if t.is_run))
@@ -596,7 +640,6 @@ def run_parallel_campaign(
     bench_failures: dict[str, dict] = {}
     by_key = {t.key: t for t in tasks}
     spans: list[dict] = []
-    lost: dict[str, int] = {}
 
     def _count_task(payload) -> None:
         if not metrics.enabled:
@@ -658,6 +701,15 @@ def run_parallel_campaign(
                     "status": payload["status"],
                 }
             )
+        # Payloads without a worker stand for lost tasks; their
+        # attempts are re-queues (campaign.worker_restarts), not retries.
+        retries = payload.get("attempts", 1) - 1
+        if retries > 0 and "worker" in payload:
+            if metrics.enabled:
+                metrics.counter(
+                    "campaign.retries", "campaign task retries"
+                ).inc(retries)
+            runner._log(f"task {key} retried {retries} time(s)")
         if payload["status"] == "ok":
             payloads[key] = payload
             if journal is not None:
@@ -696,184 +748,215 @@ def run_parallel_campaign(
                 f"{payload.get('error_type')}: {payload.get('error')}"
             )
 
-    ctx = _preferred_context()
-    spawn_args = (
-        cfg, runner.cluster, str(runner.cache_dir), policy,
-        sup_cfg.heartbeat_interval,
-    )
-    workers = [
-        _WorkerHandle(
-            ctx, i, spawn_args,
-            kill_plan.pop(i, None), hang_plan.pop(i, None),
-        )
-        for i in range(runner.workers)
-    ]
+    # Serial-order ready list; tasks leave it only when dispatched.
+    ready: list[CampaignTask] = []
+    backlog = [t for t in tasks if not _settled(t)]
 
-    def _respawn(handle: _WorkerHandle, why: str = "died") -> _WorkerHandle:
-        if metrics.enabled:
-            metrics.counter(
-                "campaign.worker_restarts", "campaign workers respawned"
-            ).inc()
-        runner._log(f"worker {handle.worker_id} {why}; respawning")
-        handle.close_pipe()
-        return _WorkerHandle(ctx, handle.worker_id, spawn_args, None)
-
-    def _lose_task(task: CampaignTask, cause: str = "crash") -> None:
-        lost[task.key] = lost.get(task.key, 0) + 1
-        if lost[task.key] >= policy.max_attempts:
-            if cause == "timeout":
-                error_type = "TaskTimeoutError"
-                error = (
-                    f"task {task.key} exceeded its supervision deadline "
-                    f"{lost[task.key]} time(s); worker cancelled"
-                )
-            else:
-                error_type = "WorkerCrashError"
-                error = (
-                    f"worker died {lost[task.key]} time(s) while "
-                    f"running {task.key}"
-                )
-            _handle(
-                {
-                    "key": task.key,
-                    "kind": task.kind,
-                    "status": "failed",
-                    "error": error,
-                    "error_type": error_type,
-                    "attempts": lost[task.key],
-                }
-            )
-        else:
-            ready.insert(0, task)
-
-    try:
-        # Serial-order ready list; tasks leave it only when dispatched.
-        ready: list[CampaignTask] = []
-        backlog = [t for t in tasks if not _settled(t)]
-        while True:
-            # Promote unblocked backlog tasks, cancel doomed ones.
-            still = []
-            for t in backlog:
-                if _settled(t):
-                    continue
-                if t.bench in bench_failures:
-                    cancelled.add(t.key)
-                elif _ready(t):
-                    ready.append(t)
-                else:
-                    still.append(t)
-            backlog = still
-            # Drop ready tasks whose benchmark failed meanwhile.
-            doomed = [t for t in ready if t.bench in bench_failures]
-            for t in doomed:
-                cancelled.add(t.key)
-            ready = [t for t in ready if t.bench not in bench_failures]
-            if all(_settled(t) for t in tasks):
-                break
-            for handle in workers:
-                if handle.current is None and handle.alive and ready:
-                    handle.dispatch(ready.pop(0))
-                    supervisor.task_started(
-                        handle.worker_id, handle.current.key
-                    )
-            messages = []
-            open_pipes = {h.conn: h for h in workers if h.conn is not None}
-            for conn in wait(list(open_pipes), timeout=_POLL_SECONDS):
-                try:
-                    messages.append(conn.recv())
-                except (EOFError, OSError):
-                    # The worker is gone and its pipe fully read; the
-                    # liveness check below respawns it.
-                    open_pipes[conn].close_pipe()
-            got_result = False
-            for payload in messages:
-                if payload.get("hb"):
-                    # Heartbeat, not a result: refresh liveness; a steady
-                    # beat must never starve hang detection.
-                    supervisor.heartbeat(payload["worker"])
-                    if metrics.enabled:
-                        c = metrics.counter(
-                            "supervisor.heartbeats",
-                            "worker heartbeats received",
-                        )
-                        c.inc()
-                        c.labels(worker=str(payload["worker"])).inc()
-                    continue
-                got_result = True
-                for handle in workers:
-                    if (
-                        handle.current is not None
-                        and handle.current.key == payload["key"]
-                    ):
-                        handle.current = None
-                        supervisor.task_finished(handle.worker_id)
-                        break
-                if "t_start" in payload:
-                    supervisor.observe_wall(
-                        payload["t_end"] - payload["t_start"]
-                    )
-                _handle(payload)
-            if got_result:
+    def _promote() -> bool:
+        """Move unblocked backlog tasks to ``ready`` and cancel the
+        tasks of failed benchmarks; False once every task is settled."""
+        still = []
+        for t in backlog:
+            if _settled(t):
                 continue
-            # No task result this round: check for dead workers holding
-            # tasks, then for live-but-hung ones.
-            for i, handle in enumerate(workers):
-                if handle.alive:
-                    continue
-                task = handle.current
-                handle.current = None
-                supervisor.task_finished(handle.worker_id)
-                workers[i] = _respawn(handle)
-                if task is not None and not _settled(task):
-                    _lose_task(task)
-            for worker_id, key, runtime, reason in supervisor.overdue():
-                i, handle = next(
-                    (i, h) for i, h in enumerate(workers)
-                    if h.worker_id == worker_id
-                )
-                task = handle.current
-                if task is None or task.key != key:
-                    continue  # result arrived between checks
-                if metrics.enabled:
-                    c = metrics.counter(
-                        "supervisor.timeouts", "hung workers cancelled"
+            if t.bench in bench_failures:
+                cancelled.add(t.key)
+            elif _ready(t):
+                ready.append(t)
+            else:
+                still.append(t)
+        backlog[:] = still
+        # Drop ready tasks whose benchmark failed meanwhile.
+        for t in ready:
+            if t.bench in bench_failures:
+                cancelled.add(t.key)
+        ready[:] = [t for t in ready if t.bench not in bench_failures]
+        return not all(_settled(t) for t in tasks)
+
+    def _stalled() -> ExperimentError:
+        # Nothing queued, nothing running, yet unsettled tasks remain:
+        # a bookkeeping bug — fail loudly, not hang.
+        missing = [t.key for t in tasks if not _settled(t)]
+        return ExperimentError(
+            f"campaign stalled with unsettled tasks: {missing[:5]}"
+        )
+
+    def _drive_inline() -> None:
+        # Deps always precede a task, so the lowest-index ready task is
+        # the next step of the campaign's nested loops.
+        state = _WorkerState(cfg, runner.cluster, runner.pipeline)
+        while _promote():
+            if not ready:
+                raise _stalled()
+            task = min(ready, key=lambda t: t.index)
+            ready.remove(task)
+            _handle(_run_task(state, task, policy, 0))
+
+    def _drive_pool() -> None:
+        kills = dict(
+            kill_plan or getattr(runner, "_campaign_kill_plan", None) or {}
+        )
+        hangs = dict(
+            hang_plan or getattr(runner, "_campaign_hang_plan", None) or {}
+        )
+        sup_cfg = getattr(runner, "supervisor", None) or SupervisorConfig()
+        supervisor = Supervisor(sup_cfg)
+        lost: dict[str, int] = {}
+        ctx = _preferred_context()
+        spawn_args = (
+            cfg, runner.cluster, str(runner.store.root), policy,
+            sup_cfg.heartbeat_interval,
+        )
+        workers = [
+            _WorkerHandle(
+                ctx, i, spawn_args, kills.pop(i, None), hangs.pop(i, None)
+            )
+            for i in range(runner.workers)
+        ]
+
+        def _respawn(
+            handle: _WorkerHandle, why: str = "died"
+        ) -> _WorkerHandle:
+            if metrics.enabled:
+                metrics.counter(
+                    "campaign.worker_restarts", "campaign workers respawned"
+                ).inc()
+            runner._log(f"worker {handle.worker_id} {why}; respawning")
+            handle.close_pipe()
+            return _WorkerHandle(ctx, handle.worker_id, spawn_args, None)
+
+        def _lose_task(task: CampaignTask, cause: str = "crash") -> None:
+            lost[task.key] = lost.get(task.key, 0) + 1
+            if lost[task.key] >= policy.max_attempts:
+                if cause == "timeout":
+                    error_type = "TaskTimeoutError"
+                    error = (
+                        f"task {task.key} exceeded its supervision deadline "
+                        f"{lost[task.key]} time(s); worker cancelled"
                     )
-                    c.inc()
-                    c.labels(reason=reason).inc()
-                runner._log(
-                    f"worker {worker_id} hung on {key} "
-                    f"({reason}, {runtime:.1f}s); cancelling"
-                )
-                spans.append(
+                else:
+                    error_type = "WorkerCrashError"
+                    error = (
+                        f"worker died {lost[task.key]} time(s) while "
+                        f"running {task.key}"
+                    )
+                _handle(
                     {
-                        "worker": worker_id,
-                        "key": key,
+                        "key": task.key,
                         "kind": task.kind,
-                        "t_start": handle.t_dispatch,
-                        "t_end": time.time(),
-                        "status": "timeout",
-                        "reason": reason,
+                        "status": "failed",
+                        "error": error,
+                        "error_type": error_type,
+                        "attempts": lost[task.key],
                     }
                 )
-                handle.cancel(sup_cfg.grace_seconds)
-                handle.current = None
-                workers[i] = _respawn(handle, why="hung; cancelled")
-                if not _settled(task):
-                    _lose_task(task, cause="timeout")
-            if not ready and not backlog and not any(
-                h.current for h in workers
-            ):
-                # Nothing queued, nothing running, yet unsettled tasks
-                # remain: a bookkeeping bug — fail loudly, not hang.
-                missing = [t.key for t in tasks if not _settled(t)]
-                raise ExperimentError(
-                    f"parallel campaign stalled with unsettled tasks: "
-                    f"{missing[:5]}"
-                )
-    finally:
-        for handle in workers:
-            handle.shutdown()
+            else:
+                ready.insert(0, task)
 
+        try:
+            while _promote():
+                for handle in workers:
+                    if handle.current is None and handle.alive and ready:
+                        handle.dispatch(ready.pop(0))
+                        supervisor.task_started(
+                            handle.worker_id, handle.current.key
+                        )
+                messages = []
+                open_pipes = {h.conn: h for h in workers if h.conn is not None}
+                for conn in wait(list(open_pipes), timeout=_POLL_SECONDS):
+                    try:
+                        messages.append(conn.recv())
+                    except (EOFError, OSError):
+                        # The worker is gone and its pipe fully read; the
+                        # liveness check below respawns it.
+                        open_pipes[conn].close_pipe()
+                got_result = False
+                for payload in messages:
+                    if payload.get("hb"):
+                        # Heartbeat, not a result: refresh liveness; a
+                        # steady beat must never starve hang detection.
+                        supervisor.heartbeat(payload["worker"])
+                        if metrics.enabled:
+                            c = metrics.counter(
+                                "supervisor.heartbeats",
+                                "worker heartbeats received",
+                            )
+                            c.inc()
+                            c.labels(worker=str(payload["worker"])).inc()
+                        continue
+                    got_result = True
+                    for handle in workers:
+                        if (
+                            handle.current is not None
+                            and handle.current.key == payload["key"]
+                        ):
+                            handle.current = None
+                            supervisor.task_finished(handle.worker_id)
+                            break
+                    if "t_start" in payload:
+                        supervisor.observe_wall(
+                            payload["t_end"] - payload["t_start"]
+                        )
+                    _handle(payload)
+                if got_result:
+                    continue
+                # No task result this round: check for dead workers
+                # holding tasks, then for live-but-hung ones.
+                for i, handle in enumerate(workers):
+                    if handle.alive:
+                        continue
+                    task = handle.current
+                    handle.current = None
+                    supervisor.task_finished(handle.worker_id)
+                    workers[i] = _respawn(handle)
+                    if task is not None and not _settled(task):
+                        _lose_task(task)
+                for worker_id, key, runtime, reason in supervisor.overdue():
+                    i, handle = next(
+                        (i, h) for i, h in enumerate(workers)
+                        if h.worker_id == worker_id
+                    )
+                    task = handle.current
+                    if task is None or task.key != key:
+                        continue  # result arrived between checks
+                    if metrics.enabled:
+                        c = metrics.counter(
+                            "supervisor.timeouts", "hung workers cancelled"
+                        )
+                        c.inc()
+                        c.labels(reason=reason).inc()
+                    runner._log(
+                        f"worker {worker_id} hung on {key} "
+                        f"({reason}, {runtime:.1f}s); cancelling"
+                    )
+                    spans.append(
+                        {
+                            "worker": worker_id,
+                            "key": key,
+                            "kind": task.kind,
+                            "t_start": handle.t_dispatch,
+                            "t_end": time.time(),
+                            "status": "timeout",
+                            "reason": reason,
+                        }
+                    )
+                    handle.cancel(sup_cfg.grace_seconds)
+                    handle.current = None
+                    workers[i] = _respawn(handle, why="hung; cancelled")
+                    if not _settled(task):
+                        _lose_task(task, cause="timeout")
+                if not ready and not backlog and not any(
+                    h.current for h in workers
+                ):
+                    raise _stalled()
+        finally:
+            for handle in workers:
+                handle.shutdown()
+
+    if runner.workers == 1:
+        _drive_inline()
+    else:
+        _drive_pool()
     runner.campaign_spans = spans
     return _assemble(runner, scenarios, payloads, bench_failures)
 

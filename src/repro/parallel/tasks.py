@@ -1,19 +1,20 @@
 """Campaign decomposition into independently runnable tasks.
 
-The serial campaign runner executes one long nested loop (benchmarks ×
-scenarios × skeleton sizes). This module flattens that loop into a
-list of :class:`CampaignTask` records — each one simulated run or one
-skeleton construction — annotated with:
+A campaign is a nested loop (benchmarks × scenarios × skeleton sizes).
+This module flattens that loop into a list of :class:`CampaignTask`
+records — each one simulated run or one skeleton construction — that
+the campaign executor (:mod:`repro.parallel.scheduler`) runs inline or
+on worker processes. Each task is annotated with:
 
-* ``key``    — the *journal* key, chosen to match the serial runner's
-  ``"{run_id}::{scenario}::{seed}"`` keys exactly, so a campaign
-  journal written by a parallel run resumes under the serial runner
-  and vice versa;
+* ``key``    — the *journal* key, ``"{run_id}::{scenario}::{seed}"``,
+  the same whichever driver runs the task, so a journal written with
+  any worker count resumes with any other;
 * ``deps``   — keys of tasks that must complete first (a skeleton run
-  needs its skeleton built; a skeleton build needs the trace);
-* ``index``  — the task's position in serial execution order, used to
-  assemble results (and pick failure records) byte-identically to a
-  serial run.
+  needs its skeleton built; a skeleton build needs the trace); a
+  task's deps always have a lower index;
+* ``index``  — the task's position in the nested loops' order, used
+  to assemble results (and pick failure records) independently of the
+  order tasks finished in.
 
 Tasks carry only primitives, so they pickle cleanly to worker
 processes regardless of multiprocessing start method. Everything a
@@ -52,7 +53,7 @@ KIND_CLASS_S_DED = "class-s-ded"
 KIND_CLASS_S_RUN = "class-s-run"
 
 #: Kinds that count as campaign *runs* (everything except skeleton
-#: construction, mirroring the serial runner's run accounting).
+#: construction).
 RUN_KINDS = frozenset(
     {
         KIND_TRACE,

@@ -1,4 +1,4 @@
-"""Parallel campaign scheduler tests.
+"""Campaign executor tests (inline and pool drivers).
 
 The load-bearing guarantees:
 
@@ -6,22 +6,25 @@ The load-bearing guarantees:
   run of the same config (same seeds, serial-order assembly);
 * a SIGKILLed worker is detected, its task re-queued, a replacement
   spawned, and the campaign still completes byte-identically;
-* the journal written by a parallel campaign resumes with zero
-  re-execution;
-* a deterministic in-worker failure surfaces as the same structured
-  benchmark failure a serial campaign records.
+* the journal written by either driver resumes under either driver
+  with zero re-execution;
+* a deterministic task failure (a run or a skeleton build) surfaces
+  as the same structured benchmark failure on both drivers, and
+  retries are counted the same way on both.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.experiments.journal import CampaignJournal
+from repro.faults.resilience import RetryPolicy
 from repro.obs.metrics import enabled_metrics
 from repro.parallel import campaign_tasks, write_campaign_timeline
 from repro.parallel.tasks import KIND_SKEL_BUILD
@@ -116,13 +119,6 @@ class TestParallelCampaign:
         assert resumed.n_resumed == resumed._planned_runs()
         assert results.to_json() == serial_results.to_json()
 
-    def test_parallel_requires_store(self, tmp_path):
-        runner = ExperimentRunner(
-            TINY, cache_dir=str(tmp_path), workers=2, use_store=False
-        )
-        with pytest.raises(ExperimentError, match="artifact store"):
-            runner.run()
-
     def test_workers_below_one_rejected(self, tmp_path):
         with pytest.raises(ExperimentError):
             ExperimentRunner(TINY, cache_dir=str(tmp_path), workers=0)
@@ -133,7 +129,6 @@ class TestParallelCrashIsolation:
     def test_injected_failure_matches_serial(self, tmp_path):
         """A deterministic run failure produces the same structured
         failure record (and results bytes) serial execution records."""
-        import repro.experiments.runner as runner_mod
         import repro.parallel.scheduler as sched_mod
         from repro.sim.program import run_program as real_run_program
 
@@ -151,9 +146,7 @@ class TestParallelCrashIsolation:
             skeleton_targets=(0.05,),
             steady=True,
         )
-        old_serial = runner_mod.run_program
         old_par = sched_mod.run_program
-        runner_mod.run_program = sick
         sched_mod.run_program = sick
         try:
             serial = ExperimentRunner(
@@ -163,15 +156,142 @@ class TestParallelCrashIsolation:
                 config, cache_dir=str(tmp_path / "par"), workers=2
             ).run()
         finally:
-            runner_mod.run_program = old_serial
             sched_mod.run_program = old_par
         assert set(serial.failures) == {"cg", "is"}
         for bench in ("cg", "is"):
             assert serial.failures[bench]["error_type"] == "ValueError"
         assert parallel.to_json() == serial.to_json()
 
+    def test_skeleton_build_failure_is_structured_on_both_drivers(
+        self, tmp_path, monkeypatch
+    ):
+        """A skeleton build that raises fails its benchmark with a
+        structured record (one attempt: ValueError is not retryable)
+        instead of escaping ``run()``."""
+        import repro.core.construct as construct_mod
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected build failure")
+
+        monkeypatch.setattr(construct_mod, "scale_signature", broken)
+        serial = ExperimentRunner(
+            TINY, cache_dir=str(tmp_path / "serial")
+        ).run()
+        parallel = ExperimentRunner(
+            TINY, cache_dir=str(tmp_path / "par"), workers=2
+        ).run()
+        failure = serial.failures["cg"]
+        assert failure["error_type"] == "ValueError"
+        assert failure["run"] == "cg.S/skel-build-0.05::dedicated::0"
+        assert failure["attempts"] == 1
+        assert parallel.to_json() == serial.to_json()
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.parallel.scheduler", "run_program"),
+            ("repro.core.construct", "scale_signature"),
+        ],
+        ids=["run", "skeleton-build"],
+    )
+    def test_retries_counted_on_both_drivers(
+        self, serial_results, tmp_path, monkeypatch, module, name
+    ):
+        """One transient OSError in the whole campaign is retried and
+        counted as one ``campaign.retries``, whichever process ran the
+        task and whether it was a run or a skeleton build."""
+        import importlib
+
+        mod = importlib.import_module(module)
+        real = getattr(mod, name)
+        marker = {"path": ""}
+
+        def flaky(*args, **kwargs):
+            try:  # O_EXCL: exactly one call in any process fails
+                os.close(os.open(marker["path"], os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real(*args, **kwargs)
+            raise OSError("injected transient failure")
+
+        monkeypatch.setattr(mod, name, flaky)
+        policy = RetryPolicy(backoff_base=0.0)
+        retries = {}
+        for workers in (1, 2):
+            marker["path"] = str(tmp_path / f"failed-once-{workers}")
+            runner = ExperimentRunner(
+                TINY, cache_dir=str(tmp_path / f"w{workers}"),
+                workers=workers, retry_policy=policy,
+            )
+            with enabled_metrics() as m:
+                results = runner.run()
+            assert results.to_json() == serial_results.to_json()
+            retries[workers] = m.snapshot()["campaign.retries"]["value"]
+        assert retries == {1: 1, 2: 1}
+
+
+def _stop_after_journaled_runs(monkeypatch, n: int) -> None:
+    """Interrupt ``run()`` as it journals its (n+1)-th completed run,
+    leaving exactly ``n`` runs in the journal, whichever driver runs."""
+    real = CampaignJournal.record
+    seen = {"runs": 0}
+
+    def record(self, key, entry):
+        if entry.get("status") == "ok" and "result" in entry:
+            if seen["runs"] == n:
+                raise KeyboardInterrupt
+            seen["runs"] += 1
+        real(self, key, entry)
+
+    monkeypatch.setattr(CampaignJournal, "record", record)
+
+
+class TestCrossDriverResume:
+    @pytest.mark.parametrize("killed, resumed", [(1, 2), (2, 1)])
+    def test_resume_under_the_other_driver(
+        self, serial_results, tmp_path, monkeypatch, killed, resumed
+    ):
+        with monkeypatch.context() as m:
+            _stop_after_journaled_runs(m, 7)
+            first = ExperimentRunner(
+                TINY, cache_dir=str(tmp_path), workers=killed
+            )
+            with pytest.raises(KeyboardInterrupt):
+                first.run()
+        assert first.journal_path.exists()
+        runner = ExperimentRunner(
+            TINY, cache_dir=str(tmp_path), workers=resumed
+        )
+        results = runner.run(resume=True)
+        assert results.to_json() == serial_results.to_json()
+        assert runner.n_resumed == 7  # zero completed runs re-executed
+        assert runner.n_executed == runner._planned_runs() - 7
+
 
 class TestCampaignTimeline:
+    def test_serial_campaign_fills_spans_and_timeline(
+        self, tmp_path, monkeypatch
+    ):
+        """Serial campaigns report spans on worker lane 0, and the CLI
+        writes them with ``--campaign-timeline``."""
+        import repro.cli as cli
+        from repro.experiments.runner import campaign_scenarios
+
+        monkeypatch.setattr(cli, "ExperimentConfig", lambda **kw: TINY)
+        out = tmp_path / "serial-campaign.json"
+        rc = cli.main(
+            [
+                "experiment", "--cache-dir", str(tmp_path / "cache"),
+                "--campaign-timeline", str(out),
+            ]
+        )
+        assert rc == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        spans = [e for e in events if e["ph"] == "X"]
+        tasks = campaign_tasks(TINY, campaign_scenarios(TINY))
+        assert len(spans) == len(tasks)
+        assert {e["tid"] for e in spans} == {0}
+        assert all(e["args"]["status"] == "ok" for e in spans)
+
     def test_chrome_trace_export(self, serial_results, tmp_path):
         runner = ExperimentRunner(TINY, cache_dir=str(tmp_path), workers=2)
         runner.run()

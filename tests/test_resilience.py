@@ -143,26 +143,36 @@ class TestCampaignJournal:
         journal.remove()  # idempotent
 
 
+def _interrupt_after_runs(monkeypatch, n: int) -> None:
+    """Raise ``KeyboardInterrupt`` in place of the (n+1)-th run-kind
+    campaign task, as a Ctrl-C between two runs would."""
+    import repro.parallel.scheduler as sched_mod
+
+    real = sched_mod._run_task
+    count = {"n": 0}
+
+    def killer(state, task, policy, worker_id):
+        if task.is_run:
+            if count["n"] == n:
+                raise KeyboardInterrupt
+            count["n"] += 1
+        return real(state, task, policy, worker_id)
+
+    monkeypatch.setattr(sched_mod, "_run_task", killer)
+
+
 class TestCheckpointResume:
-    def test_killed_campaign_resumes_identically(self, tmp_path):
+    def test_killed_campaign_resumes_identically(self, tmp_path, monkeypatch):
         baseline = ExperimentRunner(
             TINY, cache_dir=str(tmp_path / "a")
         ).run().to_json()
 
         cache = tmp_path / "b"
         runner = ExperimentRunner(TINY, cache_dir=str(cache))
-        real = runner._measure
-        count = {"n": 0}
-
-        def killer(*args, **kwargs):
-            if count["n"] == 9:
-                raise KeyboardInterrupt
-            count["n"] += 1
-            return real(*args, **kwargs)
-
-        runner._measure = killer
-        with pytest.raises(KeyboardInterrupt):
-            runner.run()
+        with monkeypatch.context() as m:
+            _interrupt_after_runs(m, 9)
+            with pytest.raises(KeyboardInterrupt):
+                runner.run()
         assert runner.journal_path.exists()
 
         fresh = ExperimentRunner(TINY, cache_dir=str(cache))
@@ -171,21 +181,13 @@ class TestCheckpointResume:
         assert fresh.n_resumed == 9  # zero completed runs re-executed
         assert not fresh.journal_path.exists()  # cleaned up on success
 
-    def test_without_resume_journal_is_discarded(self, tmp_path):
+    def test_without_resume_journal_is_discarded(self, tmp_path, monkeypatch):
         cache = tmp_path / "c"
         runner = ExperimentRunner(TINY, cache_dir=str(cache))
-        real = runner._measure
-        count = {"n": 0}
-
-        def killer(*args, **kwargs):
-            if count["n"] == 3:
-                raise KeyboardInterrupt
-            count["n"] += 1
-            return real(*args, **kwargs)
-
-        runner._measure = killer
-        with pytest.raises(KeyboardInterrupt):
-            runner.run()
+        with monkeypatch.context() as m:
+            _interrupt_after_runs(m, 3)
+            with pytest.raises(KeyboardInterrupt):
+                runner.run()
         fresh = ExperimentRunner(TINY, cache_dir=str(cache))
         fresh.run()
         assert fresh.n_resumed == 0
@@ -194,9 +196,9 @@ class TestCheckpointResume:
 class TestCrashIsolation:
     def _sick_campaign(self, tmp_path, monkeypatch):
         """One benchmark (cg) fails permanently under one scenario."""
-        import repro.experiments.runner as runner_mod
+        import repro.parallel.scheduler as sched_mod
 
-        real = runner_mod.run_program
+        real = sched_mod.run_program
 
         def sick(program, cluster, scenario=None, **kwargs):
             if (
@@ -209,8 +211,8 @@ class TestCrashIsolation:
                 return real(program, cluster, **kwargs)
             return real(program, cluster, scenario, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "sick_patch", sick, raising=False)
-        monkeypatch.setattr(runner_mod, "run_program", sick)
+        monkeypatch.setattr(sched_mod, "sick_patch", sick, raising=False)
+        monkeypatch.setattr(sched_mod, "run_program", sick)
         cfg = ExperimentConfig(
             benchmarks=("cg", "is"), klass="S", baseline_klass="S",
             skeleton_targets=(0.05,), steady=True,

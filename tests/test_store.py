@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError, StoreError
+from repro.errors import StoreError
 from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.obs.metrics import enabled_metrics
 from repro.store import (
@@ -376,22 +376,6 @@ class TestRunnerIntegration:
         # The expensive compression search never re-ran.
         assert "construct.skeletons_built" not in snap
         assert hot.to_json() == cold.to_json()
-
-    def test_legacy_results_file_still_read(self, warm, tmp_path):
-        cache, cold = warm
-        runner = ExperimentRunner(TINY, cache_dir=str(tmp_path))
-        runner.legacy_cache_path.parent.mkdir(parents=True, exist_ok=True)
-        runner.legacy_cache_path.write_text(cold.to_json())
-        loaded = runner.load_cached()
-        assert loaded is not None
-        assert loaded.to_json() == cold.to_json()
-
-    def test_corrupt_legacy_cache_rejected(self, tmp_path):
-        runner = ExperimentRunner(TINY, cache_dir=str(tmp_path))
-        runner.legacy_cache_path.parent.mkdir(parents=True, exist_ok=True)
-        runner.legacy_cache_path.write_text("{broken")
-        with pytest.raises(ExperimentError):
-            runner.load_cached()
 
     def test_runner_honours_cache_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "via-env"))
