@@ -87,16 +87,17 @@ class StoreError(ReproError):
 
 
 class WorkerCrashError(ExperimentError):
-    """A campaign worker process died (killed or crashed) while holding
-    a task; raised when the task exhausts its re-queue budget."""
+    """A pool worker process died (killed or crashed) while holding a
+    task. A campaign records it when the task exhausts its re-queue
+    budget; serving fails the request with it."""
 
 
 class TaskTimeoutError(ExperimentError):
-    """A campaign task exceeded its supervision deadline: the worker
+    """A task exceeded its supervision deadline: the pool worker
     holding it was hung (alive but making no progress) and was
     cancelled by the :class:`repro.parallel.supervisor.Supervisor`.
-    Recorded as the failure cause when the task exhausts its re-queue
-    budget."""
+    A campaign records it when the task exhausts its re-queue budget;
+    serving fails the request with it."""
 
 
 class WorkloadError(ReproError):

@@ -20,7 +20,9 @@ deterministic and floats round-trip exactly; see ``docs/SCALING.md``),
 and both drivers write the same journal entries, so either resumes the
 other's journal.
 
-The pool driver adds crash isolation:
+The pool driver runs tasks on a
+:class:`~repro.parallel.pool.SupervisedPool` (the pool cold serving
+uses too), which adds crash isolation:
 
 * workers share nothing but the on-disk artifact store
   (:mod:`repro.store`): every task's inputs are re-derived from the
@@ -28,21 +30,16 @@ The pool driver adds crash isolation:
   address, so tasks can run on any worker in any order;
 * the parent is the only journal writer — workers report payloads
   over their own pipes;
-* a worker that dies (killed, OOM, crashed) is detected by the
-  parent: its in-flight task is re-queued (up to
-  ``RetryPolicy.max_attempts`` losses, then the benchmark fails with
-  :class:`~repro.errors.WorkerCrashError`) and a fresh worker is
-  respawned in its place (``campaign.worker_restarts`` metric);
-* a worker that *hangs* (alive but stuck) is detected by the
-  :class:`~repro.parallel.supervisor.Supervisor` — workers heartbeat
-  through their result pipes, and each task carries a soft deadline
-  derived from the p95 of completed walls plus an optional hard
-  ``--task-timeout``. Overdue workers are cancelled (SIGTERM→SIGKILL),
-  respawned, and their task re-queued like a crash, failing with
-  :class:`~repro.errors.TaskTimeoutError` on exhaustion. Each worker
-  has a pipe of its own: a worker killed halfway through a send can
-  only cut its own channel, where a shared queue's write lock would
-  stay held by the dead process and block every later result.
+* a worker that dies (killed, OOM, crashed) or *hangs* (alive but
+  stuck, caught by the pool's heartbeats and deadlines; see
+  :class:`~repro.parallel.supervisor.Supervisor` and
+  ``--task-timeout``) is respawned by the pool, which fails the task's
+  future. The driver owns the retry policy: it re-queues the lost task
+  at the front of the ready list, up to ``RetryPolicy.max_attempts``
+  losses, then fails the benchmark with
+  :class:`~repro.errors.WorkerCrashError` or
+  :class:`~repro.errors.TaskTimeoutError`
+  (``campaign.worker_restarts`` counts the losses).
 
 Per-task spans (which worker ran what, when; serial runs use worker
 lane 0) are collected into ``runner.campaign_spans`` and exported by
@@ -54,22 +51,25 @@ worker — the campaign-level sibling of
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import signal
-import threading
 import time
 import warnings
-from multiprocessing.connection import wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Optional, Union
 
 from repro.cluster.contention import DEDICATED
 from repro.core.construct import build_skeleton
-from repro.errors import ExperimentError, SkeletonQualityWarning, TraceError
+from repro.errors import (
+    ExperimentError,
+    SkeletonQualityWarning,
+    TaskTimeoutError,
+    TraceError,
+    WorkerCrashError,
+)
 from repro.experiments.journal import CampaignJournal
 from repro.faults.resilience import resilient_call
 from repro.obs.metrics import get_metrics
-from repro.parallel.supervisor import Supervisor, SupervisorConfig
+from repro.parallel.pool import SupervisedPool
 from repro.parallel.tasks import (
     KIND_APP_RUN,
     KIND_CLASS_S_DED,
@@ -98,18 +98,6 @@ __all__ = ["run_campaign", "write_campaign_timeline"]
 
 #: Kinds whose payload carries a trace file and activity breakdown.
 _TRACED_KINDS = (KIND_TRACE, KIND_SKEL_TRACE)
-
-#: How long the parent waits on the result pipes before polling
-#: worker liveness (seconds).
-_POLL_SECONDS = 0.2
-
-
-def _preferred_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
 
 # ---------------------------------------------------------------------------
 # Worker side
@@ -335,123 +323,22 @@ def _run_task(
     return payload
 
 
-def _worker_main(
-    worker_id, config, cluster, cache_dir, policy, heartbeat_interval,
-    kill_at, hang_at, task_q, result_conn,
-):
-    """Worker process: pull tasks, execute, report payloads.
-
-    ``result_conn`` is the write end of this worker's result pipe.
-    A daemon thread heartbeats through it every
-    ``heartbeat_interval`` seconds (``<= 0`` disables) so the parent's
-    supervisor can tell a frozen process from a busy one — the daemon
-    keeps beating even while the main thread is stuck in a task.
-
-    Test hooks: ``kill_at`` makes the worker SIGKILL itself upon
-    *receiving* its N-th task — before executing or reporting it — to
-    exercise dead-worker recovery; ``hang_at`` (``(n, seconds)``)
-    makes it sleep ``seconds`` while *holding* its n-th task, to
-    exercise hang detection. Both are deterministic.
-    """
+def _pool_state(worker_id, config, cluster, cache_dir, policy):
+    """A pool worker's state: its caches over the shared store."""
     state = _WorkerState(
         config, cluster, PipelineCache(ArtifactStore(cache_dir), cluster)
     )
-    received = 0
-    seq = 0
-    send_lock = threading.Lock()
+    return state, policy, worker_id
 
-    def send(message: dict) -> None:
-        with send_lock:  # the heartbeat thread shares the pipe
-            result_conn.send(message)
 
-    def _beat() -> None:
-        nonlocal seq
-        while True:
-            time.sleep(heartbeat_interval)
-            seq += 1
-            try:
-                send({"hb": True, "worker": worker_id, "seq": seq})
-            except Exception:  # pipe torn down: parent is gone
-                return
-
-    if heartbeat_interval is not None and heartbeat_interval > 0:
-        threading.Thread(
-            target=_beat, name=f"heartbeat-{worker_id}", daemon=True
-        ).start()
-
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        received += 1
-        if kill_at is not None and received >= kill_at:
-            os.kill(os.getpid(), signal.SIGKILL)
-        if hang_at is not None and received == hang_at[0]:
-            time.sleep(hang_at[1])
-        send(_run_task(state, task, policy, worker_id))
+def _pool_task(worker_state, task: CampaignTask) -> dict:
+    state, policy, worker_id = worker_state
+    return _run_task(state, task, policy, worker_id)
 
 
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
-
-
-class _WorkerHandle:
-    """Parent's view of one worker: process, its task queue, the read
-    end of its result pipe (None once closed), and the task it
-    currently holds (None when idle)."""
-
-    def __init__(self, ctx, worker_id, spawn_args, kill_at, hang_at=None):
-        self.worker_id = worker_id
-        self.task_q = ctx.SimpleQueue()
-        self.current: Optional[CampaignTask] = None
-        self.t_dispatch = 0.0
-        self.conn, writer = ctx.Pipe(duplex=False)
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(
-                worker_id, *spawn_args, kill_at, hang_at,
-                self.task_q, writer,
-            ),
-            name=f"campaign-worker-{worker_id}",
-            daemon=True,
-        )
-        self.proc.start()
-        # Only the worker holds the write end, so its death reads as EOF.
-        writer.close()
-
-    def close_pipe(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
-
-    @property
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def dispatch(self, task: CampaignTask) -> None:
-        self.current = task
-        self.t_dispatch = time.time()
-        self.task_q.put(task)
-
-    def cancel(self, grace: float) -> None:
-        """Cancel a hung worker: SIGTERM, wait ``grace``, escalate to
-        SIGKILL."""
-        if self.alive:
-            self.proc.terminate()
-            self.proc.join(timeout=grace)
-        if self.alive:
-            self.proc.kill()
-            self.proc.join(timeout=5.0)
-
-    def shutdown(self) -> None:
-        if self.alive:
-            self.task_q.put(None)
-            self.proc.join(timeout=5.0)
-        if self.alive:
-            self.proc.terminate()
-            self.proc.join(timeout=5.0)
-        self.close_pipe()
 
 
 def _payload_from_journal(runner, task: CampaignTask, entry: dict):
@@ -610,21 +497,17 @@ class _CampaignProgress:
         )
 
 
-def run_campaign(
-    runner,
-    kill_plan: Optional[dict] = None,
-    hang_plan: Optional[dict] = None,
-):
+def run_campaign(runner):
     """Execute ``runner``'s campaign: inline when ``runner.workers`` is
     1, else on that many worker processes.
 
     Called by :meth:`ExperimentRunner.run` (which owns the journal
-    lifecycle and the results artifact). ``kill_plan`` is a test hook
-    for the pool driver: ``{worker_id: n}`` SIGKILLs that worker on its
-    n-th task — applied to the first incarnation only, so recovery
-    always converges. ``hang_plan`` (``{worker_id: (n, seconds)}``)
-    instead stalls the worker on its n-th task, exercising the
-    supervisor.
+    lifecycle and the results artifact). Test hooks for the pool
+    driver: ``runner._campaign_kill_plan`` (``{worker_id: n}``)
+    SIGKILLs that worker on its n-th task and
+    ``runner._campaign_hang_plan`` (``{worker_id: (n, seconds)}``)
+    stalls it, each on the worker's first incarnation only (see
+    :class:`~repro.parallel.pool.SupervisedPool`).
     """
     cfg = runner.config
     policy = runner.retry_policy
@@ -793,165 +676,74 @@ def run_campaign(
             _handle(_run_task(state, task, policy, 0))
 
     def _drive_pool() -> None:
-        kills = dict(
-            kill_plan or getattr(runner, "_campaign_kill_plan", None) or {}
-        )
-        hangs = dict(
-            hang_plan or getattr(runner, "_campaign_hang_plan", None) or {}
-        )
-        sup_cfg = getattr(runner, "supervisor", None) or SupervisorConfig()
-        supervisor = Supervisor(sup_cfg)
         lost: dict[str, int] = {}
-        ctx = _preferred_context()
-        spawn_args = (
-            cfg, runner.cluster, str(runner.store.root), policy,
-            sup_cfg.heartbeat_interval,
-        )
-        workers = [
-            _WorkerHandle(
-                ctx, i, spawn_args, kills.pop(i, None), hangs.pop(i, None)
-            )
-            for i in range(runner.workers)
-        ]
+        inflight: dict[Future, CampaignTask] = {}
 
-        def _respawn(
-            handle: _WorkerHandle, why: str = "died"
-        ) -> _WorkerHandle:
+        def _lose_task(task: CampaignTask, exc: Exception) -> None:
+            """The pool respawned the worker that held ``task``:
+            re-queue the task at the front, up to ``max_attempts``
+            losses, then fail its benchmark."""
             if metrics.enabled:
                 metrics.counter(
                     "campaign.worker_restarts", "campaign workers respawned"
                 ).inc()
-            runner._log(f"worker {handle.worker_id} {why}; respawning")
-            handle.close_pipe()
-            return _WorkerHandle(ctx, handle.worker_id, spawn_args, None)
-
-        def _lose_task(task: CampaignTask, cause: str = "crash") -> None:
-            lost[task.key] = lost.get(task.key, 0) + 1
-            if lost[task.key] >= policy.max_attempts:
-                if cause == "timeout":
-                    error_type = "TaskTimeoutError"
-                    error = (
-                        f"task {task.key} exceeded its supervision deadline "
-                        f"{lost[task.key]} time(s); worker cancelled"
-                    )
-                else:
-                    error_type = "WorkerCrashError"
-                    error = (
-                        f"worker died {lost[task.key]} time(s) while "
-                        f"running {task.key}"
-                    )
-                _handle(
+            if isinstance(exc, TaskTimeoutError):
+                spans.append(
                     {
+                        "worker": exc.worker_id,
                         "key": task.key,
                         "kind": task.kind,
-                        "status": "failed",
-                        "error": error,
-                        "error_type": error_type,
-                        "attempts": lost[task.key],
+                        "t_start": exc.started,
+                        "t_end": time.time(),
+                        "status": "timeout",
+                        "reason": exc.reason,
                     }
                 )
-            else:
+            runner._log(f"task {task.key} lost: {exc}; worker respawned")
+            lost[task.key] = lost.get(task.key, 0) + 1
+            if lost[task.key] < policy.max_attempts:
                 ready.insert(0, task)
+                return
+            _handle(
+                {
+                    "key": task.key,
+                    "kind": task.kind,
+                    "status": "failed",
+                    "error": f"task lost {lost[task.key]} time(s): {exc}",
+                    "error_type": type(exc).__name__,
+                    "attempts": lost[task.key],
+                }
+            )
 
+        pool = SupervisedPool(
+            _pool_state,
+            _pool_task,
+            (cfg, runner.cluster, str(runner.store.root), policy),
+            workers=runner.workers,
+            supervisor=runner.supervisor,
+            kill_plan=getattr(runner, "_campaign_kill_plan", None),
+            hang_plan=getattr(runner, "_campaign_hang_plan", None),
+        )
         try:
             while _promote():
-                for handle in workers:
-                    if handle.current is None and handle.alive and ready:
-                        handle.dispatch(ready.pop(0))
-                        supervisor.task_started(
-                            handle.worker_id, handle.current.key
-                        )
-                messages = []
-                open_pipes = {h.conn: h for h in workers if h.conn is not None}
-                for conn in wait(list(open_pipes), timeout=_POLL_SECONDS):
-                    try:
-                        messages.append(conn.recv())
-                    except (EOFError, OSError):
-                        # The worker is gone and its pipe fully read; the
-                        # liveness check below respawns it.
-                        open_pipes[conn].close_pipe()
-                got_result = False
-                for payload in messages:
-                    if payload.get("hb"):
-                        # Heartbeat, not a result: refresh liveness; a
-                        # steady beat must never starve hang detection.
-                        supervisor.heartbeat(payload["worker"])
-                        if metrics.enabled:
-                            c = metrics.counter(
-                                "supervisor.heartbeats",
-                                "worker heartbeats received",
-                            )
-                            c.inc()
-                            c.labels(worker=str(payload["worker"])).inc()
-                        continue
-                    got_result = True
-                    for handle in workers:
-                        if (
-                            handle.current is not None
-                            and handle.current.key == payload["key"]
-                        ):
-                            handle.current = None
-                            supervisor.task_finished(handle.worker_id)
-                            break
-                    if "t_start" in payload:
-                        supervisor.observe_wall(
-                            payload["t_end"] - payload["t_start"]
-                        )
-                    _handle(payload)
-                if got_result:
-                    continue
-                # No task result this round: check for dead workers
-                # holding tasks, then for live-but-hung ones.
-                for i, handle in enumerate(workers):
-                    if handle.alive:
-                        continue
-                    task = handle.current
-                    handle.current = None
-                    supervisor.task_finished(handle.worker_id)
-                    workers[i] = _respawn(handle)
-                    if task is not None and not _settled(task):
-                        _lose_task(task)
-                for worker_id, key, runtime, reason in supervisor.overdue():
-                    i, handle = next(
-                        (i, h) for i, h in enumerate(workers)
-                        if h.worker_id == worker_id
-                    )
-                    task = handle.current
-                    if task is None or task.key != key:
-                        continue  # result arrived between checks
-                    if metrics.enabled:
-                        c = metrics.counter(
-                            "supervisor.timeouts", "hung workers cancelled"
-                        )
-                        c.inc()
-                        c.labels(reason=reason).inc()
-                    runner._log(
-                        f"worker {worker_id} hung on {key} "
-                        f"({reason}, {runtime:.1f}s); cancelling"
-                    )
-                    spans.append(
-                        {
-                            "worker": worker_id,
-                            "key": key,
-                            "kind": task.kind,
-                            "t_start": handle.t_dispatch,
-                            "t_end": time.time(),
-                            "status": "timeout",
-                            "reason": reason,
-                        }
-                    )
-                    handle.cancel(sup_cfg.grace_seconds)
-                    handle.current = None
-                    workers[i] = _respawn(handle, why="hung; cancelled")
-                    if not _settled(task):
-                        _lose_task(task, cause="timeout")
-                if not ready and not backlog and not any(
-                    h.current for h in workers
-                ):
+                # Submit only to free workers, so tasks leave ``ready``
+                # in its order.
+                while ready and len(inflight) < runner.workers:
+                    task = ready.pop(0)
+                    inflight[pool.submit(task)] = task
+                if not inflight:
                     raise _stalled()
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                for fut in sorted(done, key=lambda f: inflight[f].index):
+                    task = inflight.pop(fut)
+                    try:
+                        payload = fut.result()
+                    except (TaskTimeoutError, WorkerCrashError) as exc:
+                        _lose_task(task, exc)
+                    else:
+                        _handle(payload)
         finally:
-            for handle in workers:
-                handle.shutdown()
+            pool.close()
 
     if runner.workers == 1:
         _drive_inline()

@@ -1,11 +1,11 @@
-"""Hang detection for parallel campaign workers.
+"""Hang detection for supervised pool workers.
 
-The scheduler (:mod:`repro.parallel.scheduler`) already survives
-workers that *die* — the parent notices the dead process and re-queues
-its task. This module covers the nastier failure: a worker that is
-alive but stuck (an NFS stall inside the store, a runaway simulation,
-a kernel-frozen process), which would otherwise block the campaign
-forever.
+The pool (:mod:`repro.parallel.pool`) already survives workers that
+*die* — the parent reads the dead worker's pipe EOF and fails its
+task. This module covers the nastier failure: a worker that is alive
+but stuck (an NFS stall inside the store, a runaway simulation, a
+kernel-frozen process), which would otherwise block a campaign or a
+cold request forever.
 
 Two complementary signals, both cheap:
 
@@ -30,13 +30,12 @@ Two complementary signals, both cheap:
   ``heartbeat_interval × heartbeat_timeout_factor`` seconds as a
   ``"heartbeat-stall"``.
 
-The parent polls :meth:`Supervisor.overdue` each scheduling round and
-cancels offenders with SIGTERM→SIGKILL escalation; the task is
-re-queued under the campaign :class:`~repro.faults.resilience.RetryPolicy`
-and, on exhaustion, recorded as a structured
-:class:`~repro.errors.TaskTimeoutError` failure — exactly like a
-worker crash, so the serial↔parallel byte-identical journaling
-invariant is untouched.
+The pool's collector polls :meth:`Supervisor.overdue` and cancels
+offenders with SIGTERM→SIGKILL escalation, failing the task with
+:class:`~repro.errors.TaskTimeoutError`. A campaign re-queues it under
+its :class:`~repro.faults.resilience.RetryPolicy` and, on exhaustion,
+records a structured failure — exactly like a worker crash, so the
+serial↔parallel byte-identical journaling invariant is untouched.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ __all__ = ["Supervisor", "SupervisorConfig"]
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Tuning for campaign-worker hang detection.
+    """Tuning for pool-worker hang detection.
 
     ``task_timeout`` is the hard per-task wall-clock cap (None: no hard
     cap — only the adaptive soft deadline applies, once warmed up).
@@ -104,8 +103,8 @@ class Supervisor:
 
     Pure bookkeeping over an injectable monotonic ``clock`` — no
     processes, signals, or queues — so deadline policy is unit-testable
-    without spawning anything. The scheduler owns the enforcement
-    (cancel, respawn, re-queue).
+    without spawning anything. The pool owns the enforcement (cancel,
+    respawn); its caller owns any re-queue.
     """
 
     def __init__(

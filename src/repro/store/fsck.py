@@ -17,6 +17,9 @@ story, powering the ``repro-skeleton doctor`` CLI:
 * campaign journals (``journal-*.jsonl`` under the cache root) are
   truncated back to their last intact line, dropping the partial
   trailing line a mid-write kill leaves behind;
+* trace copies that campaigns used to keep under ``<root>/traces/``
+  (journal entries now name the store's own trace blob, and nothing
+  reads or writes that directory) are reported and deleted;
 * an optional byte quota (``max_cache_bytes``) is enforced by LRU
   eviction — reads touch object mtimes, so the least recently *used*
   artifacts go first.
@@ -61,6 +64,7 @@ class FsckReport:
     journals_scanned: int = 0
     journals_repaired: list[str] = field(default_factory=list)
     partial_lines_dropped: int = 0
+    legacy_traces: list[str] = field(default_factory=list)
     evicted: list[str] = field(default_factory=list)
     bytes_before: int = 0
     bytes_after: int = 0
@@ -73,6 +77,7 @@ class FsckReport:
             + len(self.orphan_blobs)
             + len(self.tmp_removed)
             + len(self.journals_repaired)
+            + len(self.legacy_traces)
         )
 
     @property
@@ -92,6 +97,7 @@ class FsckReport:
             "journals_scanned": self.journals_scanned,
             "journals_repaired": list(self.journals_repaired),
             "partial_lines_dropped": self.partial_lines_dropped,
+            "legacy_traces": list(self.legacy_traces),
             "evicted": list(self.evicted),
             "bytes_before": self.bytes_before,
             "bytes_after": self.bytes_after,
@@ -117,6 +123,8 @@ class FsckReport:
             f" ({len(self.journals_repaired)} repaired,"
             f" {self.partial_lines_dropped} partial line(s) dropped)"
         )
+        if self.legacy_traces:
+            lines.append(f"  legacy trace copies: {len(self.legacy_traces)}")
         if self.evicted:
             lines.append(f"  evicted for quota: {len(self.evicted)}")
         lines.append(
@@ -241,6 +249,20 @@ def _fsck_journal(path: Path, report: FsckReport, repair: bool) -> None:
             fh.truncate(keep)
 
 
+def _fsck_legacy_traces(root: Path, report: FsckReport, repair: bool) -> None:
+    """Delete ``<root>/traces/*.trace``: copies of store trace blobs
+    that older campaigns made and no current code reads."""
+    legacy = root / "traces"
+    if not legacy.is_dir():
+        return
+    for path in sorted(legacy.glob("*.trace")):
+        report.legacy_traces.append(str(path.relative_to(root)))
+        if repair:
+            path.unlink(missing_ok=True)
+    if repair and not any(legacy.iterdir()):
+        legacy.rmdir()
+
+
 def fsck(
     store: ArtifactStore,
     repair: bool = True,
@@ -251,15 +273,17 @@ def fsck(
     False (dry run). Returns the :class:`FsckReport`.
 
     Repair quarantines corrupt objects (with their blobs) and stale
-    orphan blobs, removes stale ``.tmp`` files, truncates torn trailing
-    journal lines, and — when ``max_cache_bytes`` is set — evicts least
-    recently used artifacts until the store fits the quota.
+    orphan blobs, removes stale ``.tmp`` files and legacy trace
+    copies, truncates torn trailing journal lines, and — when
+    ``max_cache_bytes`` is set — evicts least recently used artifacts
+    until the store fits the quota.
     """
     report = FsckReport(root=str(store.root), repaired=repair)
     report.bytes_before = store.total_bytes()
     _fsck_objects(store, report, repair, grace_seconds)
     for journal in sorted(store.root.glob("journal-*.jsonl")):
         _fsck_journal(journal, report, repair)
+    _fsck_legacy_traces(store.root, report, repair)
     if max_cache_bytes is not None and repair:
         report.evicted = store.gc(max_bytes=max_cache_bytes, order="lru")
         _count_metric(

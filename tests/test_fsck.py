@@ -174,6 +174,25 @@ class TestDoctorCli:
         _put_one(ArtifactStore(clean_dir))
         assert main(["doctor", "--cache-dir", str(clean_dir), "--dry-run"]) == 0
 
+    def test_doctor_reclaims_legacy_trace_copies(self, tmp_path, capsys):
+        """Trace copies older campaigns kept under ``<cache>/traces/``
+        flag a dry run, are deleted by a repair, and a second pass is
+        clean."""
+        _put_one(ArtifactStore(tmp_path))
+        legacy = tmp_path / "traces"
+        legacy.mkdir()
+        (legacy / "ab12.trace").write_bytes(b"an old campaign's copy")
+
+        assert main(["doctor", "--cache-dir", str(tmp_path), "--dry-run"]) == 1
+        assert "legacy trace copies: 1" in capsys.readouterr().out
+        assert (legacy / "ab12.trace").exists()
+
+        report = fsck(ArtifactStore(tmp_path))
+        assert report.legacy_traces == ["traces/ab12.trace"]
+        assert not legacy.exists()
+        assert main(["doctor", "--cache-dir", str(tmp_path), "--dry-run"]) == 0
+        assert "CLEAN" in capsys.readouterr().out
+
     def test_doctor_enforces_quota(self, tmp_path, capsys):
         store = ArtifactStore(tmp_path)
         for n in range(4):

@@ -119,6 +119,30 @@ class TestParallelCampaign:
         assert resumed.n_resumed == resumed._planned_runs()
         assert results.to_json() == serial_results.to_json()
 
+    def test_campaign_and_serving_share_one_pool(self, tmp_path, monkeypatch):
+        """The pool driver and cold serving both construct the one
+        SupervisedPool, so a second pool cannot creep back in."""
+        from repro.parallel.pool import SupervisedPool
+        from repro.serve import WorkerPool
+
+        class Built(Exception):
+            pass
+
+        built = []
+
+        def spy(self, init, *args, **kwargs):
+            built.append(init.__module__)
+            raise Built
+
+        monkeypatch.setattr(SupervisedPool, "__init__", spy)
+        with pytest.raises(Built):
+            WorkerPool(cache_dir=str(tmp_path / "serve"), workers=1)
+        with pytest.raises(Built):
+            ExperimentRunner(
+                TINY, cache_dir=str(tmp_path / "campaign"), workers=2
+            ).run()
+        assert built == ["repro.serve.pool", "repro.parallel.scheduler"]
+
     def test_workers_below_one_rejected(self, tmp_path):
         with pytest.raises(ExperimentError):
             ExperimentRunner(TINY, cache_dir=str(tmp_path), workers=0)

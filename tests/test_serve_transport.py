@@ -304,6 +304,16 @@ def _crash_worker(params, cache, cluster, bundle_cache=None):
     os._exit(3)
 
 
+def _timed_compute(params, cache, cluster, bundle_cache=None):
+    # Each call appends "<env_seed> <start> <end>" (wall clock, shared
+    # across processes) to the file the request names.
+    t0 = time.time()
+    time.sleep(0.3)
+    with open(params["log"], "a", encoding="utf-8") as fh:
+        fh.write(f"{params['env_seed']} {t0!r} {time.time()!r}\n")
+    return {"value": params["env_seed"]}
+
+
 def _typed_failure(params, cache, cluster, bundle_cache=None):
     # OSError is retryable, so the worker-side resilient_call exhausts
     # its attempts and annotates the final exception with the count.
@@ -393,6 +403,40 @@ class TestWorkerPool:
                 assert got.get("value") == {"value": round_}, round_
         finally:
             pool.close()
+
+    def test_backlog_runs_in_submission_order_without_a_poll_tick(
+        self, tmp_path, monkeypatch
+    ):
+        """One worker, three submissions: the parent's backlog runs
+        them in submission order, each starting as soon as the one
+        before it finishes."""
+        import repro.predict.online as online
+
+        monkeypatch.setattr(online, "compute_prediction", _timed_compute)
+        log = tmp_path / "calls.log"
+        pool = WorkerPool(cache_dir=str(tmp_path), workers=1)
+        results = {}
+
+        def call(i):
+            results[i] = pool.submit({"env_seed": i, "log": str(log)})
+
+        threads = []
+        try:
+            for i in range(3):
+                threads.append(
+                    threading.Thread(target=call, args=(i,), daemon=True)
+                )
+                threads[-1].start()
+                time.sleep(0.05)  # fixes the submission order
+            for thread in threads:
+                thread.join(15)
+        finally:
+            pool.close()
+        assert results == {i: {"value": i} for i in range(3)}
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert [int(c[0]) for c in calls] == [0, 1, 2]
+        for before, after in zip(calls, calls[1:]):
+            assert float(after[1]) - float(before[2]) < 0.05
 
     def test_dead_worker_raises_crash_error_and_respawns(
         self, tmp_path, monkeypatch
