@@ -5,6 +5,7 @@ campaign thanks to these rates)."""
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -40,6 +41,89 @@ def test_engine_message_throughput(benchmark):
     rate = result.n_messages / benchmark.stats["mean"]
     print(f"\nengine throughput: {rate:,.0f} simulated messages/s")
     assert rate > 2_000  # generous floor; typical is >20k/s
+
+
+#: Ceiling on bytecode instructions per engine event for the pingpong
+#: program below, per interpreter minor version: the count after the
+#: fluid solver's one-task/one-resource fills and the hook-free
+#: dispatch, plus 5%. The counts are deterministic for a bytecode
+#: version, so this gate does not see the box's wall-clock noise.
+#: Measured: 3.11 692.0, 3.12 647.6 instructions per event (the
+#: engine before them: 888.7 and 821.1).
+ENGINE_OPCODES_PER_EVENT = {(3, 11): 726.6, (3, 12): 680.0}
+
+
+def _count_instructions(fn) -> int:
+    """Bytecode instructions executed by ``fn()``. Counted with
+    ``sys.settrace`` opcode events, as ``bench_obs_overhead`` does, on
+    interpreters before 3.12; from 3.12 on with ``sys.monitoring``
+    INSTRUCTION events, which count the same instructions (some 3.12
+    releases emit no settrace opcode events at all)."""
+    count = 0
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is None:
+        def tracer(frame, event, arg):
+            nonlocal count
+            frame.f_trace_opcodes = True
+            if event == "opcode":
+                count += 1
+            return tracer
+
+        prev = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            fn()
+        finally:
+            sys.settrace(prev)
+        return count
+
+    tool = monitoring.PROFILER_ID
+    if monitoring.get_tool(tool) is not None:
+        pytest.skip("the sys.monitoring profiler slot is taken")
+    here = sys._getframe().f_code
+
+    def on_instruction(code, offset):
+        nonlocal count
+        if code is not here:
+            count += 1
+
+    monitoring.use_tool_id(tool, "engine-cost-gate")
+    try:
+        monitoring.register_callback(
+            tool, monitoring.events.INSTRUCTION, on_instruction
+        )
+        monitoring.set_events(tool, monitoring.events.INSTRUCTION)
+        try:
+            fn()
+        finally:
+            monitoring.set_events(tool, 0)
+    finally:
+        monitoring.free_tool_id(tool)
+    return count
+
+
+def test_engine_opcodes_per_event():
+    """Deterministic engine-cost gate: interpreter instructions per
+    engine event on the pingpong program stay under the pinned
+    ceiling."""
+    ceiling = ENGINE_OPCODES_PER_EVENT.get(sys.version_info[:2])
+    if ceiling is None:
+        pytest.skip(f"no ceiling pinned for Python {sys.version_info[:2]}")
+    cluster = paper_testbed()
+    program = pingpong_program(500)
+    run_program(program, cluster)  # warm lazy imports/caches
+    results = []
+    ops = _count_instructions(
+        lambda: results.append(run_program(program, cluster))
+    )
+    (result,) = results
+    per_event = ops / result.n_events
+    print(f"\nengine cost: {ops:,} instructions for {result.n_events:,} "
+          f"events = {per_event:.1f}/event (ceiling {ceiling})")
+    assert result.n_events == 8_000
+    assert per_event <= ceiling, (
+        f"{per_event:.1f} instructions per engine event (ceiling {ceiling})"
+    )
 
 
 def test_compression_throughput_lu(benchmark):

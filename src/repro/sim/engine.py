@@ -34,6 +34,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import DeadlockError, ProgramError, SimulationError
@@ -41,6 +42,7 @@ from repro.obs.metrics import get_metrics
 from repro.cluster.contention import DEDICATED, Scenario
 from repro.cluster.topology import Cluster
 from repro.sim import collectives as coll
+from repro.sim.fluid import _EPS as _STALLED
 from repro.sim.fluid import INFINITE_WORK, FluidSystem, Resource, Task
 from repro.sim.matching import Mailbox, Message
 from repro.sim.ops import (
@@ -70,6 +72,8 @@ _BLOCKED = 1
 _DONE = 2
 
 _BLOCK = object()  # dispatch sentinel: the process must block
+
+_admission_order = attrgetter("serial")
 
 
 class EngineHook:
@@ -212,6 +216,7 @@ class _Proc:
         "blocked_on",
         "compute_task",
         "speed_factor",
+        "on_compute_done",
     )
 
     def __init__(self, rank: int, node: int, gen: Iterator[Op]):
@@ -234,6 +239,9 @@ class _Proc:
         # Live Compute task + fault speed multiplier (rank stalls).
         self.compute_task: Optional[Task] = None
         self.speed_factor = 1.0
+        # Completion callback of the rank's compute tasks (set by the
+        # engine once per run, not once per Compute op).
+        self.on_compute_done: Optional[Callable[[Task, float], None]] = None
 
 
 def _describe_request(req: RequestHandle) -> str:
@@ -518,25 +526,39 @@ class Engine:
         dirty = self._fluid_dirty
         if not dirty:
             return
-        self._fluid_dirty = set()
         affected = self._fluid.reallocate_scoped(dirty)
+        dirty.clear()
+        if len(affected) > 1:
+            # Push in admission order, not set order: tasks that finish
+            # at the same instant pop by sequence number, so set order
+            # (which follows object addresses) would otherwise decide
+            # which of them runs its completion first.
+            affected = sorted(affected, key=_admission_order)
         now = self.now
         heap = self._heap
+        seq = self._seq
+        # Task.eta inlined. Component tasks are always alive.
         for task in affected:
-            if task.alive and not task.infinite:
-                eta = task.eta(now)
-                if eta != math.inf:
-                    self._seq += 1
-                    self._fg_in_heap += 1
-                    heappush(heap, (eta, self._seq, _EV_TASK, task, task.version))
+            if task.infinite:
+                continue
+            progress = task.rate * task.speed
+            if progress <= _STALLED:
+                continue
+            eta = now + task.remaining / progress
+            if eta != math.inf:
+                seq += 1
+                heappush(heap, (eta, seq, _EV_TASK, task, task.version))
+        self._fg_in_heap += seq - self._seq
+        self._seq = seq
+
+    # Membership changes need no sync of their own: the fluid clock
+    # moves only in the main loop, which syncs it to every new now.
 
     def _fluid_add(self, task: Task) -> None:
-        self._fluid.sync(self.now)
         self._fluid.add(task)
         self._fluid_dirty.update(task.resources)
 
     def _fluid_remove(self, task: Task) -> None:
-        self._fluid.sync(self.now)
         self._fluid.remove(task)
         self._fluid_dirty.update(task.resources)
 
@@ -592,13 +614,15 @@ class Engine:
 
     def _block_on(self, proc: _Proc, requests: Sequence[RequestHandle]) -> bool:
         """Register proc on incomplete requests; True if it must block."""
-        pending = [r for r in requests if not r.done]
+        pending = 0
+        for req in requests:
+            if not req.done:
+                req.waiters.append(proc)
+                pending += 1
         if not pending:
             return False
         proc.state = _BLOCKED
-        proc.wait_count = len(pending)
-        for req in pending:
-            req.waiters.append(proc)
+        proc.wait_count = pending
         return True
 
     def _local_copy_time(self, nbytes: int) -> float:
@@ -749,97 +773,112 @@ class Engine:
 
     def _trace_now(self, proc: _Proc, op: Op, params: dict) -> None:
         """Record an instantaneous (non-blocking) user-level call."""
-        if self.hook is not None and len(proc.stack) == 1:
-            self.hook.on_call(proc.rank, call_name(op), params, self.now, self.now)
+        self.hook.on_call(proc.rank, call_name(op), params, self.now, self.now)
 
     def _begin_blocking_call(self, proc: _Proc, op: Op, params: dict) -> None:
-        if self.hook is not None and len(proc.stack) == 1:
-            proc.pending_call = (call_name(op), params, self.now)
+        proc.pending_call = (call_name(op), params, self.now)
 
     def _step(self, proc: _Proc, value) -> None:
         """Advance one rank until it blocks or finishes."""
-        self._emit_pending_call(proc)
+        if proc.pending_call is not None:
+            self._emit_pending_call(proc)
+        stack = proc.stack
+        dispatch = self._dispatch
         while True:
-            gen, call_record = proc.stack[-1]
+            gen, call_record = stack[-1]
             try:
                 op = gen.send(value)
             except StopIteration as stop:
-                proc.stack.pop()
+                stack.pop()
                 if call_record is not None and self.hook is not None:
                     name, params, t_start = call_record
                     self.hook.on_call(proc.rank, name, params, t_start, self.now)
-                if not proc.stack:
+                if not stack:
                     proc.state = _DONE
                     proc.finish_time = self.now
                     self._ndone += 1
                     return
                 value = stop.value
                 continue
-            value = self._dispatch(proc, op)
+            value = dispatch(proc, op)
             if value is _BLOCK:
                 return
 
-    def _dispatch(self, proc: _Proc, op: Op):
-        """Perform one yielded op; return the resume value or _BLOCK."""
-        user_level = len(proc.stack) == 1
+    def _compute_done_callback(self, proc: _Proc) -> Callable[[Task, float], None]:
+        def done(task: Task, t: float) -> None:
+            # The main loop already removed the task from the fluid
+            # system; just wake the process.
+            proc.compute_task = None
+            proc.state = _READY
+            self._ready.append((proc, None))
 
-        if type(op) is Compute:
+        return done
+
+    def _dispatch(self, proc: _Proc, op: Op):
+        """Perform one yielded op; return the resume value or _BLOCK.
+
+        Call records, and the ``params`` dicts in them, are built only
+        when a hook observes the call (user level, hook attached).
+        """
+        kind = type(op)
+        if kind is Compute:
             if op.seconds <= 0:
                 return None
             node = self.cluster.nodes[proc.node]
             proc.state = _BLOCKED
             proc.wait_count = 0
             proc.blocked_on = op
-
-            def _done(task: Task, t: float, p: _Proc = proc) -> None:
-                # The main loop already removed the task from the fluid
-                # system; just wake the process.
-                p.compute_task = None
-                p.state = _READY
-                self._ready.append((p, None))
-
             task = Task(
                 name=f"compute[r{proc.rank}]",
                 resources=(self._cpu_res[proc.node],),
                 work=float(op.seconds),
                 cap=1.0,
                 speed=node.speed * proc.speed_factor,
-                on_complete=_done,
+                on_complete=proc.on_compute_done,
             )
             proc.compute_task = task
             self._fluid_add(task)
             return _BLOCK
 
-        if type(op) is Send:
-            params = {"peer": op.dest, "bytes": op.nbytes, "tag": op.tag}
+        traced = self.hook is not None and len(proc.stack) == 1
+        if kind is Send:
             req = self._post_send(proc, op.dest, op.nbytes, op.tag)
-            if self._block_on(proc, (req,)):
+            blocked = self._block_on(proc, (req,))
+            if blocked:
                 proc.blocked_on = op
-                if user_level:
+            if traced:
+                params = {"peer": op.dest, "bytes": op.nbytes, "tag": op.tag}
+                if blocked:
                     self._begin_blocking_call(proc, op, params)
-                return _BLOCK
-            self._trace_now(proc, op, params)
-            return None
+                else:
+                    self._trace_now(proc, op, params)
+            return _BLOCK if blocked else None
 
-        if type(op) is Recv:
-            params = {"peer": op.source, "bytes": op.nbytes, "tag": op.tag}
-            if user_level:
-                self._begin_blocking_call(proc, op, params)
+        if kind is Recv:
+            if traced:
+                self._begin_blocking_call(
+                    proc, op, {"peer": op.source, "bytes": op.nbytes, "tag": op.tag}
+                )
             req = self._post_recv(proc, op.source, op.tag)
             if self._block_on(proc, (req,)):
                 proc.blocked_on = op
                 return _BLOCK
-            self._emit_pending_call(proc)
+            if traced:
+                self._emit_pending_call(proc)
             return None
 
-        if type(op) is Isend:
-            params = {"peer": op.dest, "bytes": op.nbytes, "tag": op.tag}
-            self._trace_now(proc, op, params)
+        if kind is Isend:
+            if traced:
+                self._trace_now(
+                    proc, op, {"peer": op.dest, "bytes": op.nbytes, "tag": op.tag}
+                )
             return self._post_send(proc, op.dest, op.nbytes, op.tag)
 
-        if type(op) is Irecv:
-            params = {"peer": op.source, "bytes": op.nbytes, "tag": op.tag}
-            self._trace_now(proc, op, params)
+        if kind is Irecv:
+            if traced:
+                self._trace_now(
+                    proc, op, {"peer": op.source, "bytes": op.nbytes, "tag": op.tag}
+                )
             req = self._post_recv(proc, op.source, op.tag)
             # Report the declared receive size (stable regardless of
             # whether the message has already arrived) so downstream
@@ -847,17 +886,18 @@ class Engine:
             req.nbytes = op.nbytes
             return req
 
-        if type(op) is Wait:
-            if user_level:
+        if kind is Wait:
+            if traced:
                 self._begin_blocking_call(proc, op, {"bytes": op.request.nbytes})
             if self._block_on(proc, (op.request,)):
                 proc.blocked_on = op
                 return _BLOCK
-            self._emit_pending_call(proc)
+            if traced:
+                self._emit_pending_call(proc)
             return None
 
-        if type(op) is Waitall:
-            if user_level:
+        if kind is Waitall:
+            if traced:
                 total = sum(r.nbytes for r in op.requests)
                 self._begin_blocking_call(
                     proc, op, {"count": len(op.requests), "bytes": total}
@@ -865,24 +905,25 @@ class Engine:
             if self._block_on(proc, tuple(op.requests)):
                 proc.blocked_on = op
                 return _BLOCK
-            self._emit_pending_call(proc)
+            if traced:
+                self._emit_pending_call(proc)
             return None
 
-        if type(op) is Sendrecv:
-            params = {
-                "peer": op.dest,
-                "bytes": op.send_nbytes,
-                "tag": op.send_tag,
-                "source": op.source,
-            }
-            if user_level:
-                self._begin_blocking_call(proc, op, params)
+        if kind is Sendrecv:
+            if traced:
+                self._begin_blocking_call(proc, op, {
+                    "peer": op.dest,
+                    "bytes": op.send_nbytes,
+                    "tag": op.send_tag,
+                    "source": op.source,
+                })
             sreq = self._post_send(proc, op.dest, op.send_nbytes, op.send_tag)
             rreq = self._post_recv(proc, op.source, op.recv_tag)
             if self._block_on(proc, (sreq, rreq)):
                 proc.blocked_on = op
                 return _BLOCK
-            self._emit_pending_call(proc)
+            if traced:
+                self._emit_pending_call(proc)
             return None
 
         if isinstance(op, CollectiveOp):
@@ -893,7 +934,7 @@ class Engine:
             proc.coll_seqs[comm_key] = seq + 1
             sub = coll.expand(op, proc.rank, size, seq)
             record = None
-            if self.hook is not None and user_level:
+            if traced:
                 gsize = len(comm_key) if comm_key is not None else size
                 params = {"bytes": coll.collective_bytes(op, gsize)}
                 root = getattr(op, "root", None)
@@ -949,18 +990,26 @@ class Engine:
         if self._sample_period > 0:
             self._start_sampler()
         for proc in self._procs:
+            proc.on_compute_done = self._compute_done_callback(proc)
             self._ready.append((proc, None))
         t_wall = time.perf_counter()
 
         max_events = self.config.max_events
         heap = self._heap
+        ready = self._ready
+        dirty = self._fluid_dirty
+        step = self._step
+        sync = self._fluid.sync
+        remove = self._fluid.remove
+        n_events = 0
         while True:
-            while self._ready:
-                proc, value = self._ready.popleft()
-                self._step(proc, value)
+            while ready:
+                proc, value = ready.popleft()
+                step(proc, value)
             if self._ndone == nranks:
                 break
-            self._settle_fluid()
+            if dirty:
+                self._settle_fluid()
             if self._fg_in_heap == 0:
                 # Only self-rearming background modulation (or nothing)
                 # remains: no blocked rank can ever be woken again.
@@ -975,31 +1024,40 @@ class Engine:
                     blocked_ranks=[p.rank for p in blocked],
                     blocked_ops=blocked_ops,
                 )
-            # Pop the next valid event.
+            # Pop the next valid event. Foreground pops are tallied
+            # locally; only the deadlock check above reads the total.
+            fg_popped = 0
             while heap:
                 t, _seq, kind, a, b = heappop(heap)
+                if kind != _EV_BG:
+                    fg_popped += 1
+                    if kind == _EV_TASK and (a.version != b or not a.alive):
+                        continue  # stale completion
+                # Advance the clock, banking fluid progress first.
+                if t > self.now:
+                    sync(t)
+                    self.now = t
+                elif t < self.now - 1e-9:
+                    raise SimulationError(
+                        f"event time regressed: {self.now} -> {t}"
+                    )
                 if kind == _EV_TASK:
-                    self._fg_in_heap -= 1
-                    task: Task = a
-                    if task.version != b or not task.alive:
-                        continue  # stale
-                    self._advance_time(t)
-                    self._fluid_remove(task)
-                    task.on_complete(task, t)
+                    remove(a)
+                    dirty.update(a.resources)
+                    a.on_complete(a, t)
                 elif kind == _EV_TIMER:
-                    self._fg_in_heap -= 1
-                    self._advance_time(t)
                     a(t)
                 else:  # background modulation
-                    self._advance_time(t)
                     a(t)
                     self._settle_fluid()
-                    if not self._ready:
+                    if not ready:
                         continue  # keep popping until foreground work
-                self._n_events += 1
-                if self._n_events > max_events:
+                n_events += 1
+                if n_events > max_events:
                     raise SimulationError("event budget exhausted")
                 break
+            self._fg_in_heap -= fg_popped
+        self._n_events = n_events
 
         finish_times = tuple(p.finish_time for p in self._procs)
         if self.hook is not None:
@@ -1033,10 +1091,3 @@ class Engine:
             n_messages=self._n_messages,
             n_events=self._n_events,
         )
-
-    def _advance_time(self, t: float) -> None:
-        if t < self.now - 1e-9:
-            raise SimulationError(f"event time regressed: {self.now} -> {t}")
-        if t > self.now:
-            self._fluid.sync(t)
-            self.now = t

@@ -29,7 +29,7 @@ not with simulated time.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.metrics import get_metrics
@@ -38,6 +38,7 @@ from repro.obs.metrics import get_metrics
 INFINITE_WORK = math.inf
 
 _EPS = 1e-12
+_INF = math.inf
 
 
 class Resource:
@@ -84,6 +85,8 @@ class Task:
         "on_complete",
         "version",
         "alive",
+        "infinite",
+        "serial",
     )
 
     def __init__(
@@ -110,10 +113,11 @@ class Task:
         #: Bumped on every reallocation; used to invalidate stale events.
         self.version = 0
         self.alive = False
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.remaining)
+        #: Never completes (competing load). Fixed here: progress only
+        #: ever subtracts finite work, and ``inf - x == inf``.
+        self.infinite = math.isinf(self.remaining)
+        #: Admission order into a :class:`FluidSystem` (set by ``add``).
+        self.serial = -1
 
     def eta(self, now: float) -> float:
         """Absolute completion time at the current rate (inf if stalled)."""
@@ -148,6 +152,7 @@ class FluidSystem:
         #: remaining work changes as time advances.
         self._progressing: set[Task] = set()
         self._last_sync = 0.0
+        self._n_added = 0
         metrics = get_metrics()
         self._m_enabled = metrics.enabled
         if self._m_enabled:
@@ -176,6 +181,8 @@ class FluidSystem:
         if task.alive:
             raise SimulationError(f"task {task.name!r} added twice")
         task.alive = True
+        task.serial = self._n_added
+        self._n_added += 1
         self.tasks.add(task)
         for res in task.resources:
             res.tasks.add(task)
@@ -195,17 +202,18 @@ class FluidSystem:
     def sync(self, now: float) -> None:
         """Bank the work done at current rates since the last sync."""
         dt = now - self._last_sync
-        if dt < -1e-9:
+        if dt > 0:
+            for task in self._progressing:
+                remaining = task.remaining - task.rate * task.speed * dt
+                if remaining < 0:
+                    # Numerical dust from float arithmetic.
+                    remaining = 0.0
+                task.remaining = remaining
+            self._last_sync = now
+        elif dt < -1e-9:
             raise SimulationError(
                 f"time moved backwards: {self._last_sync} -> {now}"
             )
-        if dt > 0:
-            for task in self._progressing:
-                task.remaining -= task.rate * task.speed * dt
-                if task.remaining < 0:
-                    # Numerical dust from float arithmetic.
-                    task.remaining = 0.0
-        self._last_sync = max(self._last_sync, now)
 
     # -- max-min fair allocation ---------------------------------------
 
@@ -220,28 +228,54 @@ class FluidSystem:
         max–min fair rates are unaffected by any change inside it; this
         is what makes scoped reallocation exact.
         """
-        seen_res: set[Resource] = set()
-        seen_tasks: set[Task] = set()
-        stack = list(seed_resources)
-        while stack:
-            res = stack.pop()
-            if res in seen_res:
+        return self._component(seed_resources)[0]
+
+    def _component(self, seed_resources: Iterable[Resource]) -> tuple[set[Task], int]:
+        """The component of ``seed_resources`` and how many distinct
+        resources its tasks use."""
+        seen = set(seed_resources)
+        frontier = list(seen)
+        tasks: set[Task] = set()
+        n_used = 0
+        # The loop also visits resources appended while it runs.
+        for res in frontier:
+            res_tasks = res.tasks
+            if not res_tasks:
                 continue
-            seen_res.add(res)
-            for task in res.tasks:
-                if task not in seen_tasks:
-                    seen_tasks.add(task)
-                    stack.extend(task.resources)
-        return seen_tasks
+            n_used += 1
+            for task in res_tasks:
+                if task not in tasks:
+                    tasks.add(task)
+                    for other in task.resources:
+                        if other not in seen:
+                            seen.add(other)
+                            frontier.append(other)
+        return tasks, n_used
 
     def reallocate_scoped(self, dirty_resources: Iterable[Resource]) -> set[Task]:
         """Recompute rates only for the affected component(s).
 
         Returns the set of tasks whose rates were recomputed (callers
         reschedule completion events for exactly those).
+
+        The component is filled as one instance, exactly as
+        :meth:`_fill` would fill it, but its common shapes skip the
+        general solver: an empty component needs nothing, a lone task
+        on distinct resources has a closed form, and tasks that all use
+        one resource fill from scalars. Each shortcut performs the same
+        float operations in the same order as :meth:`_fill`, so rates
+        are bit-identical.
         """
-        affected = self.component(dirty_resources)
-        self._fill(affected)
+        affected, n_used = self._component(dirty_resources)
+        if affected:
+            for task in affected:  # any member
+                break
+            if len(affected) == 1 and len(task.resources) == n_used:
+                self._fill_single(task)
+            elif n_used == 1:
+                self._fill_one_resource(task.resources[0], affected)
+            else:
+                self._fill(affected)
         if self._m_enabled:
             self._n_resettles += 1
             self._n_tasks_resettled += len(affected)
@@ -259,9 +293,12 @@ class FluidSystem:
             self._n_resettles = 0
             self._n_tasks_resettled = 0
 
-    def _fill(self, tasks: Iterable[Task]) -> None:
-        """Progressive filling over ``tasks`` (a resource-closed set)."""
-        tasks = set(tasks)
+    def _fill(self, tasks: Collection[Task]) -> None:
+        """Progressive filling over ``tasks`` (a resource-closed set).
+
+        The general solver, and the reference the scoped shortcuts are
+        tested against bit for bit.
+        """
         progressing = self._progressing
         for task in tasks:
             task.rate = 0.0
@@ -271,34 +308,46 @@ class FluidSystem:
             return
 
         unfrozen = set(tasks)
-        avail = {res: res.capacity for task in tasks for res in task.resources}
+        avail: dict[Resource, float] = {}
         # Unfrozen user count per resource.
-        users: dict[Resource, int] = {res: 0 for res in avail}
+        users: dict[Resource, int] = {}
+        # Remaining capacity at or below this counts as saturated.
+        floor: dict[Resource, float] = {}
         for task in tasks:
             for res in task.resources:
-                users[res] += 1
+                if res in users:
+                    users[res] += 1
+                else:
+                    avail[res] = res.capacity
+                    users[res] = 1
+                    floor[res] = _EPS * max(1.0, res.capacity)
 
         level = 0.0
         # Each iteration freezes at least one task, so this terminates.
         while unfrozen:
             # Largest uniform increment before a resource saturates...
-            delta = math.inf
+            delta = _INF
             for res, n in users.items():
                 if n > 0:
-                    delta = min(delta, avail[res] / n)
+                    d = avail[res] / n
+                    if d < delta:
+                        delta = d
             # ... or a task reaches its cap.
             for task in unfrozen:
-                delta = min(delta, task.cap - level)
-            if delta is math.inf:
+                d = task.cap - level
+                if d < delta:
+                    delta = d
+            if delta is _INF:
                 # No constraints at all (tasks with no resources).
                 for task in unfrozen:
                     task.rate = task.cap
                 break
-            delta = max(delta, 0.0)
+            if delta < 0.0:
+                delta = 0.0
             level += delta
-            for res in list(users):
-                if users[res] > 0:
-                    avail[res] -= delta * users[res]
+            for res, n in users.items():
+                if n > 0:
+                    avail[res] -= delta * n
 
             newly_frozen = []
             for task in unfrozen:
@@ -306,7 +355,7 @@ class FluidSystem:
                     newly_frozen.append(task)
                     continue
                 for res in task.resources:
-                    if avail[res] <= _EPS * max(1.0, res.capacity):
+                    if avail[res] <= floor[res]:
                         newly_frozen.append(task)
                         break
             if not newly_frozen:
@@ -319,6 +368,82 @@ class FluidSystem:
                 for res in task.resources:
                     users[res] -= 1
 
+        for task in tasks:
+            if task.rate > 0 and not task.infinite:
+                progressing.add(task)
+
+    def _fill_single(self, task: Task) -> None:
+        """:meth:`_fill` of a lone task whose resources are distinct and
+        hold no other task: one filling step, whose level is the least
+        of the capacities and the task's own cap."""
+        task.version += 1
+        delta = _INF
+        for res in task.resources:
+            if res.capacity < delta:
+                delta = res.capacity
+        if task.cap < delta:
+            delta = task.cap
+        if delta is _INF:
+            rate = task.cap
+        else:
+            if delta < 0.0:
+                delta = 0.0
+            rate = 0.0 + delta
+        task.rate = rate
+        if rate > 0 and not task.infinite:
+            self._progressing.add(task)
+        else:
+            self._progressing.discard(task)
+
+    def _fill_one_resource(self, res: Resource, tasks: Collection[Task]) -> None:
+        """:meth:`_fill` of tasks that use ``res`` and nothing else, with
+        the ``avail``/``users`` dicts reduced to scalars. A task may list
+        ``res`` more than once; each listing counts as one user."""
+        progressing = self._progressing
+        users = 0
+        for task in tasks:
+            task.version += 1
+            progressing.discard(task)
+            users += len(task.resources)
+        avail = res.capacity
+        floor = _EPS * max(1.0, res.capacity)
+        unfrozen = list(tasks)
+        level = 0.0
+        while unfrozen:
+            delta = _INF
+            d = avail / users
+            if d < delta:
+                delta = d
+            for task in unfrozen:
+                d = task.cap - level
+                if d < delta:
+                    delta = d
+            if delta is _INF:
+                for task in unfrozen:
+                    task.rate = task.cap
+                break
+            if delta < 0.0:
+                delta = 0.0
+            level += delta
+            avail -= delta * users
+            if avail <= floor:
+                # The resource saturated: every unfrozen task freezes.
+                for task in unfrozen:
+                    task.rate = level
+                break
+            still = []
+            for task in unfrozen:
+                if task.cap - level <= _EPS:
+                    task.rate = level
+                    users -= len(task.resources)
+                else:
+                    still.append(task)
+            if len(still) == len(unfrozen):
+                # Defensive, as in _fill.
+                for task in still:
+                    task.rate = level
+                break
+            unfrozen = still
         for task in tasks:
             if task.rate > 0 and not task.infinite:
                 progressing.add(task)

@@ -222,3 +222,58 @@ def test_allocation_is_feasible_and_maxmin(instance):
                 saturated = True
                 break
         assert saturated, f"{t} is neither capped nor bottlenecked"
+
+
+# -- scoped fast paths vs. the general filling ------------------------
+
+capacities = st.one_of(
+    st.just(0.0), st.just(math.inf), st.floats(min_value=0.5, max_value=100.0)
+)
+
+
+@st.composite
+def scoped_instances(draw):
+    """Instances shaped like the scoped solver's shortcuts: a lone task,
+    many tasks on one resource (listed once or more), or a mix; plus
+    zero-capacity and unbounded resources, infinite caps and work, and
+    tasks that hold no resource at all."""
+    n_res = draw(st.integers(min_value=1, max_value=4))
+    resources = [Resource(f"r{i}", draw(capacities)) for i in range(n_res)]
+    shape = draw(st.sampled_from(["single", "one-resource", "mixed"]))
+    n_tasks = 1 if shape == "single" else draw(st.integers(1, 8))
+    tasks = []
+    for i in range(n_tasks):
+        if shape == "one-resource":
+            idx = [0] * draw(st.integers(min_value=1, max_value=2))
+        else:
+            idx = draw(st.lists(st.integers(0, n_res - 1), max_size=3))
+        work = draw(st.one_of(st.just(INFINITE_WORK), st.floats(0.0, 1e3)))
+        tasks.append(
+            Task(f"t{i}", [resources[j] for j in idx], work, cap=draw(rate_caps))
+        )
+    dirty = draw(
+        st.lists(st.sampled_from(resources), min_size=1, max_size=n_res)
+    )
+    return resources, tasks, dirty
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoped_instances())
+def test_scoped_fast_paths_equal_general_fill(instance):
+    """reallocate_scoped's shortcuts give the general _fill's rates bit
+    for bit, and the same set of progressing tasks."""
+    resources, tasks, dirty = instance
+    system = FluidSystem()
+    for t in tasks:
+        system.add(t)
+    system.reallocate()
+
+    def state():
+        return [(t.rate.hex(), t in system._progressing) for t in tasks]
+
+    component = system.component(dirty)
+    system._fill(component)
+    want = state()
+    affected = system.reallocate_scoped(dirty)
+    assert affected == component
+    assert state() == want
