@@ -9,7 +9,7 @@ enough to leave on during campaigns, so this bench pins the
 < 5% on the same ping-pong workload as ``bench_obs_overhead``.
 
 Methodology matches ``bench_obs_overhead``: budgets are asserted on
-executed bytecode instructions (``sys.settrace`` opcode counting),
+executed bytecode instructions (``opcount.count_instructions``),
 which are exact and deterministic where wall/CPU timings on shared
 hardware are not; a direct CPU-time A/B is printed for reference
 only.  The bench also re-asserts the zero-perturbation contract: the
@@ -18,8 +18,9 @@ hooked runs must produce a ``RunResult`` equal to the bare run.
 
 from __future__ import annotations
 
-import sys
 import time
+
+from opcount import count_instructions
 
 from repro.cluster import paper_testbed
 from repro.diagnose import DiagnosisCollector
@@ -55,22 +56,10 @@ def _make_hook(kind):
 
 def _count_opcodes(program, cluster, kind):
     """Bytecode instructions executed by one run under the hook."""
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return tracer
-
     hook = _make_hook(kind)
-    prev_trace = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        result = run_program(program, cluster, hook=hook)
-    finally:
-        sys.settrace(prev_trace)
+    count, result = count_instructions(
+        lambda: run_program(program, cluster, hook=hook)
+    )
     assert result.n_messages == 4 * N_MSGS
     return count, result
 

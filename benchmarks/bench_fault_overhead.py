@@ -15,7 +15,7 @@ same ping-pong workload as ``bench_obs_overhead``:
   ends pays only the arm-time timer pushes: < 2%.
 
 Methodology: budgets are asserted on *executed bytecode instructions*
-(``sys.settrace`` opcode counting), not wall or CPU time — repeated
+(``opcount.count_instructions``), not wall or CPU time — repeated
 timings of bit-identical runs on shared boxes disagree by more than
 the budgets being asserted, while opcode counts are exact and
 deterministic. See ``bench_obs_overhead`` for the full rationale.
@@ -23,7 +23,7 @@ deterministic. See ``bench_obs_overhead`` for the full rationale.
 
 from __future__ import annotations
 
-import sys
+from opcount import count_instructions
 
 from repro.cluster import Scenario, paper_testbed
 from repro.faults import FaultPlan, LinkDegrade, NodeSlowdown, RankStall
@@ -63,24 +63,14 @@ def idle_plan() -> FaultPlan:
 
 def _count_opcodes(program, cluster, scenario) -> tuple[int, object]:
     """(bytecode instructions, RunResult) of one run under ``scenario``."""
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return tracer
-
-    prev_trace = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        if scenario is None:
-            result = run_program(program, cluster)
-        else:
-            result = run_program(program, cluster, scenario)
-    finally:
-        sys.settrace(prev_trace)
+    if scenario is None:
+        count, result = count_instructions(
+            lambda: run_program(program, cluster)
+        )
+    else:
+        count, result = count_instructions(
+            lambda: run_program(program, cluster, scenario)
+        )
     assert result.n_messages == 4 * N_MSGS
     return count, result
 

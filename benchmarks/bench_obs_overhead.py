@@ -12,7 +12,7 @@ bench pins two budgets against the same ping-pong workload as
   matcher, and fluid allocator must stay under 5%.
 
 Methodology: the budgets are asserted on *executed bytecode
-instructions* (``sys.settrace`` opcode counting), not wall or CPU
+instructions* (counted by ``opcount.count_instructions``), not wall or CPU
 time.  On the shared boxes this suite runs on, repeated timings of
 bit-identical runs disagree by up to ±10% (scheduler preemption,
 frequency scaling, cache pollution from neighbours), which cannot
@@ -25,8 +25,9 @@ direct CPU-time A/B is still printed for reference, labelled noisy.
 
 from __future__ import annotations
 
-import sys
 import time
+
+from opcount import count_instructions
 
 from repro.cluster import paper_testbed
 from repro.obs import MetricsRegistry, set_metrics
@@ -51,22 +52,12 @@ def pingpong_program(n_msgs: int) -> Program:
 
 def _count_opcodes(program, cluster, registry) -> int:
     """Bytecode instructions executed by one run under ``registry``."""
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return tracer
-
     prev_reg = set_metrics(registry)
-    prev_trace = sys.gettrace()
-    sys.settrace(tracer)
     try:
-        result = run_program(program, cluster)
+        count, result = count_instructions(
+            lambda: run_program(program, cluster)
+        )
     finally:
-        sys.settrace(prev_trace)
         set_metrics(prev_reg)
     assert result.n_messages == 4 * N_MSGS
     return count

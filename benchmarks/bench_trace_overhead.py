@@ -12,7 +12,7 @@ Two distinct "tracing" costs are pinned here:
 * **Request tracing** (:mod:`repro.obs.tracing`) — the serving
   stack's span instrumentation must cost < 5% on the warm predict
   path when *disabled* (the default outside the daemon), asserted on
-  executed bytecode instructions (``sys.settrace`` opcode counting —
+  executed bytecode instructions (``opcount.count_instructions`` —
   deterministic, unlike wall time on shared hardware; same
   methodology as ``bench_obs_overhead``). The prediction payload must
   also stay byte-identical (canonical JSON) with tracing enabled:
@@ -21,9 +21,9 @@ Two distinct "tracing" costs are pinned here:
 
 from __future__ import annotations
 
-import sys
-
 import pytest
+
+from opcount import count_instructions
 
 from repro.cluster import paper_testbed
 from repro.obs.tracing import Tracer, set_tracer
@@ -76,24 +76,11 @@ REQUEST = {"bench": "cg", "klass": "S", "nprocs": 4,
 def _count_opcodes(thunk, tracer) -> tuple[int, object]:
     """Bytecode instructions executed by ``thunk()`` under ``tracer``
     (``None`` = the default disabled NULL tracer)."""
-    count = 0
-
-    def optracer(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return optracer
-
     prev_tracer = set_tracer(tracer)
-    prev_trace = sys.gettrace()
-    sys.settrace(optracer)
     try:
-        value = thunk()
+        return count_instructions(thunk)
     finally:
-        sys.settrace(prev_trace)
         set_tracer(prev_tracer)
-    return count, value
 
 
 def test_span_tracing_overhead_budget(tmp_path):

@@ -17,12 +17,7 @@ Pipeline::
 """
 
 from repro.core.events import ExecEvent, RankStream, trace_to_streams
-from repro.core.clustering import (
-    ClusterSpace,
-    StreamDendrogram,
-    ThresholdBand,
-    cluster_stream,
-)
+from repro.core.clustering import ClusterSpace, cluster_stream
 from repro.core.signature import EventStats, LoopNode, RankSignature, Signature
 from repro.core.compress import CompressionOptions, compress_trace
 from repro.core.scale import scale_signature
@@ -38,8 +33,6 @@ __all__ = [
     "RankStream",
     "trace_to_streams",
     "ClusterSpace",
-    "StreamDendrogram",
-    "ThresholdBand",
     "cluster_stream",
     "CompressionOptions",
     "EventStats",

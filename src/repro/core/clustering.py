@@ -7,22 +7,11 @@ primitive, peer, tag — blocking and non-blocking calls are distinct
 primitives and are never grouped). Within a key, an event joins the
 first existing cluster whose running-mean centroid is within the
 similarity threshold; a threshold of 0 clusters only identical events.
-
-The clustering outcome is a *step function* of the threshold:
-assignments can only change where some event's distance to a
-running-mean centroid crosses the threshold. Every :class:`ClusterSpace`
-run therefore also produces a certificate interval
-``[stable_lo, stable_hi)`` — the maximal band of thresholds on which
-its exact decision sequence (hence every symbol and centroid) holds.
-:class:`StreamDendrogram` caches these bands so a threshold search pays
-one clustering pass per *distinct outcome* instead of per step.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.distance import (
     DimensionScales,
@@ -55,24 +44,12 @@ class Cluster:
 
 @dataclass
 class ClusterSpace:
-    """Clustering state and result for one rank stream.
-
-    Alongside the assignment itself, the space maintains an exact
-    plateau certificate: every threshold ``t`` with
-    ``stable_lo <= t < stable_hi`` makes the same accept/reject
-    decision at every assignment this space has performed so far, and
-    therefore yields bit-identical symbols and centroids. Each accepted
-    merge at distance *d* raises ``stable_lo`` to *d* (below it the
-    merge would be rejected); each rejected candidate at distance *d*
-    lowers ``stable_hi`` to *d* (at it the rejection would flip).
-    """
+    """Clustering state and result for one rank stream."""
 
     threshold: float
     scales: DimensionScales
     clusters: list[Cluster] = field(default_factory=list)
     _by_key: dict = field(default_factory=dict)
-    stable_lo: float = 0.0
-    stable_hi: float = float("inf")
 
     def __post_init__(self) -> None:
         metrics = get_metrics()
@@ -105,14 +82,10 @@ class ClusterSpace:
             else:
                 d = dissimilarity(vec, cluster.centroid, self._scale_vec)
             if d <= threshold:
-                if d > self.stable_lo:
-                    self.stable_lo = d
                 cluster.absorb(vec)
                 if self._m_enabled:
                     self._m_merges.inc()
                 return cluster.symbol
-            if d < self.stable_hi:
-                self.stable_hi = d
         cluster = Cluster(symbol=len(self.clusters), key=key, centroid=vec, count=1)
         self.clusters.append(cluster)
         bucket.append(cluster)
@@ -123,99 +96,6 @@ class ClusterSpace:
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
-
-
-class ThresholdBand:
-    """One plateau of the threshold-indexed clustering.
-
-    For every threshold ``lo <= t < hi`` the first-fit scan makes the
-    identical decision sequence, so ``symbols`` (and the underlying
-    centroids) are exact for the whole band, not just the probed
-    threshold. Bands compare by identity — two equal thresholds inside
-    one band resolve to the *same* object, which downstream caches
-    (e.g. the compression driver's fold memo) exploit as a key.
-    """
-
-    __slots__ = ("lo", "hi", "symbols", "n_clusters")
-
-    def __init__(
-        self, lo: float, hi: float, symbols: list[int], n_clusters: int
-    ):
-        self.lo = lo
-        self.hi = hi
-        self.symbols = symbols
-        self.n_clusters = n_clusters
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ThresholdBand([{self.lo:g}, {self.hi:g}), "
-            f"{self.n_clusters} clusters)"
-        )
-
-
-class StreamDendrogram:
-    """Lazily materialised merge structure of one event sequence.
-
-    Conceptually this is the single-linkage dendrogram of the paper's
-    incremental clustering: each event "joins cluster C at threshold
-    t", and the outcome only changes at a finite set of merge
-    thresholds. Rather than enumerating those points up front (the
-    running-mean centroids make them history-dependent), each probe of
-    :meth:`band_at` runs one certified first-fit pass and returns the
-    *maximal* band around the probed threshold on which the whole
-    decision sequence is provably constant (see
-    :class:`ClusterSpace`). Bands are disjoint, cached, and found by
-    bisection, so a threshold search walking a fine grid pays one
-    clustering pass per distinct outcome instead of per step.
-
-    ``symbol_base`` offsets every returned symbol — the compression
-    driver uses it to keep coordinated collective symbols in their own
-    namespace.
-    """
-
-    def __init__(
-        self,
-        events: Sequence[ExecEvent],
-        scales: DimensionScales,
-        symbol_base: int = 0,
-    ):
-        self._events = list(events)
-        self._scales = scales
-        self._base = symbol_base
-        self._los: list[float] = []
-        self._bands: list[ThresholdBand] = []
-
-    def band_at(self, threshold: float) -> ThresholdBand:
-        """The cached (or freshly probed) band containing ``threshold``."""
-        if threshold < 0:
-            raise ValueError("similarity threshold must be >= 0")
-        i = bisect_right(self._los, threshold) - 1
-        if i >= 0:
-            band = self._bands[i]
-            if threshold < band.hi:
-                return band
-        space = ClusterSpace(threshold=threshold, scales=self._scales)
-        base = self._base
-        if base:
-            symbols = [base + space.assign(ev) for ev in self._events]
-        else:
-            symbols = [space.assign(ev) for ev in self._events]
-        band = ThresholdBand(
-            space.stable_lo, space.stable_hi, symbols, space.n_clusters
-        )
-        j = bisect_right(self._los, band.lo)
-        self._los.insert(j, band.lo)
-        self._bands.insert(j, band)
-        return band
-
-    @property
-    def n_bands(self) -> int:
-        """Number of distinct plateaus materialised so far."""
-        return len(self._bands)
-
-    @property
-    def n_events(self) -> int:
-        return len(self._events)
 
 
 def cluster_stream(

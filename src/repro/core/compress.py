@@ -10,30 +10,16 @@ The driver uses Q = K/2 (the paper's empirical rule) via
 bound on the threshold so that very different events are never merged
 (the paper observes every NAS case resolves below 0.20).
 
-Two search implementations share the paper's semantics exactly:
-
-* ``search="linear"`` — the paper-literal sweep: re-cluster and re-fold
-  the full trace at every fixed-increment step. Kept verbatim as the
-  reference implementation so equivalence can be asserted forever.
-* ``search="dendrogram"`` (default) — clustering outcomes are a step
-  function of the threshold, so the sweep only *needs* new work where
-  some assignment actually changes. Each probe returns a certified
-  plateau (:class:`~repro.core.clustering.ThresholdBand`); grid steps
-  inside a known plateau replay the cached ratio in O(1), and when a
-  step does cross into a new plateau, loop folding is memoized per
-  rank keyed by its band, so ranks whose symbols did not change skip
-  folding entirely. The grid walk itself — first threshold reaching Q,
-  patience, the ``max_threshold`` cap — is simulated step by step, so
-  the chosen threshold and the returned signature are byte-identical
-  to the linear sweep.
+The sweep is paper-literal: every step re-clusters and re-folds the
+full trace. On the NAS traces it reaches Q within one or two steps, so
+memoizing the steps would not pay (see docs/SCALING.md).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.core.clustering import ClusterSpace, StreamDendrogram
+from repro.core.clustering import ClusterSpace
 from repro.core.distance import DimensionScales
 from repro.core.events import ExecEvent, trace_to_streams
 from repro.core.loopfind import (
@@ -62,8 +48,6 @@ _COLLECTIVE_CALLS = frozenset({
 #: per-rank point-to-point symbol.
 _COLL_SYMBOL_BASE = 1 << 40
 
-_SEARCH_MODES = ("dendrogram", "linear")
-
 
 @dataclass(frozen=True)
 class CompressionOptions:
@@ -81,12 +65,6 @@ class CompressionOptions:
     patience: int = 10
     max_period: int = DEFAULT_MAX_PERIOD
     work_budget: int = DEFAULT_WORK_BUDGET
-    #: Threshold-search implementation: "dendrogram" (default) probes
-    #: one cluster+fold pass per distinct clustering outcome;
-    #: "linear" is the paper-literal fixed-increment sweep. Both
-    #: produce byte-identical signatures (pinned in
-    #: tests/test_compress_equivalence.py).
-    search: str = "dendrogram"
 
 
 def _collective_reps(streams) -> list[ExecEvent] | None:
@@ -115,13 +93,13 @@ def _collective_reps(streams) -> list[ExecEvent] | None:
 
 
 def _shared_collective_symbols(
-    streams, threshold: float, scales: DimensionScales
+    reps: list[ExecEvent] | None, threshold: float, scales: DimensionScales
 ) -> list[int] | None:
     """Coordinated symbols for the global collective sequence.
 
-    Returns one symbol per collective occurrence (same for all ranks),
-    or ``None`` when the ranks' collective sequences disagree."""
-    reps = _collective_reps(streams)
+    Returns one symbol per collective occurrence of ``reps`` (same for
+    all ranks), or ``None`` when there are no representatives (see
+    :func:`_collective_reps`)."""
     if reps is None:
         return None
     space = ClusterSpace(threshold=threshold, scales=scales)
@@ -129,12 +107,16 @@ def _shared_collective_symbols(
 
 
 def _compress_at(
-    streams, scales: DimensionScales, threshold: float, options: CompressionOptions
+    streams,
+    scales: DimensionScales,
+    coll_reps: list[ExecEvent] | None,
+    threshold: float,
+    options: CompressionOptions,
 ) -> tuple[list[RankSignature], float, int]:
     """Cluster + fold every rank at one threshold; return signatures,
     the aggregate compression ratio (trace length / signature length,
     in events), and the trace length itself."""
-    coll_symbols = _shared_collective_symbols(streams, threshold, scales)
+    coll_symbols = _shared_collective_symbols(coll_reps, threshold, scales)
     rank_sigs: list[RankSignature] = []
     total_events = 0
     total_leaves = 0
@@ -166,27 +148,24 @@ def _compress_at(
 
 @dataclass
 class _SearchResult:
-    """Outcome of one threshold search, plus its effort accounting."""
+    """Outcome of one threshold search."""
 
     rank_sigs: list[RankSignature]
     ratio: float
     threshold: float
-    #: Grid steps examined (what the paper-literal sweep would count).
+    #: Threshold steps examined (one cluster+fold pass each).
     iterations: int
     total_events: int
-    #: Full cluster+fold evaluations actually paid.
-    probes: int
-    fold_hits: int = 0
-    fold_misses: int = 0
-    #: Wall time spent materialising dendrogram bands (cluster passes).
-    dendrogram_seconds: float = 0.0
 
 
-def _search_linear(
+def _search(
     streams, scales, target_ratio: float, options: CompressionOptions
 ) -> _SearchResult:
-    """The paper-literal fixed-increment sweep (reference
-    implementation for equivalence pinning)."""
+    """The paper's fixed-increment sweep: cluster and fold the whole
+    trace at each threshold step until the ratio reaches the target,
+    the threshold reaches its cap, or ``patience`` steps pass with no
+    improvement. Returns the best signature seen."""
+    coll_reps = _collective_reps(streams)
     threshold = options.start_threshold
     best: tuple[list[RankSignature], float, float] | None = None
     total_events = 0
@@ -195,7 +174,7 @@ def _search_linear(
     while True:
         iterations += 1
         rank_sigs, ratio, total_events = _compress_at(
-            streams, scales, threshold, options
+            streams, scales, coll_reps, threshold, options
         )
         if best is None or ratio > best[1]:
             best = (rank_sigs, ratio, threshold)
@@ -218,143 +197,6 @@ def _search_linear(
         threshold=threshold,
         iterations=iterations,
         total_events=total_events,
-        probes=iterations,
-        fold_misses=iterations * len(streams),
-    )
-
-
-def _search_dendrogram(
-    streams, scales, target_ratio: float, options: CompressionOptions
-) -> _SearchResult:
-    """Plateau-driven search, byte-identical to :func:`_search_linear`.
-
-    The grid walk below is the *same loop* as the linear sweep; only
-    the evaluation is memoized. A joint plateau — the intersection of
-    every rank's band and the coordinated-collective band — certifies
-    that all symbols (hence folds, hence the ratio) are constant, so
-    grid steps inside it replay the cached result without touching the
-    trace. Folding is additionally memoized per (rank, band) so a new
-    plateau only re-folds the ranks whose symbols actually changed.
-    """
-    total_events = sum(len(s.events) for s in streams)
-    if total_events == 0:
-        raise SignatureError("trace contains no communication events")
-
-    t_dendro = time.perf_counter()
-    coll_reps = _collective_reps(streams)
-    if coll_reps is None:
-        coll_dendro = None
-        rank_dendros = [StreamDendrogram(s.events, scales) for s in streams]
-    else:
-        coll_dendro = StreamDendrogram(
-            coll_reps, scales, symbol_base=_COLL_SYMBOL_BASE
-        )
-        rank_dendros = [
-            StreamDendrogram(
-                [ev for ev in s.events if ev.call not in _COLLECTIVE_CALLS],
-                scales,
-            )
-            for s in streams
-        ]
-    dendro_seconds = time.perf_counter() - t_dendro
-
-    # (rank, rank band, collective band) -> (RankSignature, n_leaves).
-    # Bands are identity-cached by their dendrogram, so they key the
-    # fold memo directly: same bands => bit-identical symbols.
-    fold_cache: dict[tuple, tuple[RankSignature, int]] = {}
-    probes = 0
-    fold_hits = 0
-    fold_misses = 0
-    # Current joint plateau: (lo, hi, rank_sigs, ratio).
-    plateau: tuple[float, float, list[RankSignature], float] | None = None
-
-    def evaluate(threshold: float) -> tuple[list[RankSignature], float]:
-        nonlocal plateau, probes, fold_hits, fold_misses, dendro_seconds
-        if plateau is not None and plateau[0] <= threshold < plateau[1]:
-            return plateau[2], plateau[3]
-        probes += 1
-        t0 = time.perf_counter()
-        coll_band = (
-            coll_dendro.band_at(threshold) if coll_dendro is not None else None
-        )
-        bands = [dendro.band_at(threshold) for dendro in rank_dendros]
-        dendro_seconds += time.perf_counter() - t0
-        lo = 0.0 if coll_band is None else coll_band.lo
-        hi = float("inf") if coll_band is None else coll_band.hi
-        rank_sigs: list[RankSignature] = []
-        total_leaves = 0
-        for stream, band in zip(streams, bands):
-            if band.lo > lo:
-                lo = band.lo
-            if band.hi < hi:
-                hi = band.hi
-            key = (stream.rank, band, coll_band)
-            cached = fold_cache.get(key)
-            if cached is None:
-                fold_misses += 1
-                if coll_band is None:
-                    symbols = band.symbols
-                else:
-                    symbols = []
-                    p2p = iter(band.symbols)
-                    coll = iter(coll_band.symbols)
-                    for ev in stream.events:
-                        if ev.call in _COLLECTIVE_CALLS:
-                            symbols.append(next(coll))
-                        else:
-                            symbols.append(next(p2p))
-                nodes = fold_symbols(
-                    symbols,
-                    stream.events,
-                    max_period=options.max_period,
-                    work_budget=options.work_budget,
-                )
-                sig = RankSignature(
-                    rank=stream.rank, nodes=nodes, tail_gap=stream.tail_gap
-                )
-                cached = (sig, sig.n_leaves())
-                fold_cache[key] = cached
-            else:
-                fold_hits += 1
-            rank_sigs.append(cached[0])
-            total_leaves += cached[1]
-        ratio = total_events / max(1, total_leaves)
-        plateau = (lo, hi, rank_sigs, ratio)
-        return rank_sigs, ratio
-
-    # The legacy grid walk, verbatim — only the evaluation is cached.
-    threshold = options.start_threshold
-    best: tuple[list[RankSignature], float, float] | None = None
-    stale = 0
-    iterations = 0
-    while True:
-        iterations += 1
-        rank_sigs, ratio = evaluate(threshold)
-        if best is None or ratio > best[1]:
-            best = (rank_sigs, ratio, threshold)
-            stale = 0
-        else:
-            stale += 1
-        if ratio >= target_ratio:
-            break
-        if threshold >= options.max_threshold - 1e-12:
-            break
-        if stale >= options.patience:
-            break
-        threshold = min(
-            options.max_threshold, threshold + options.threshold_step
-        )
-    rank_sigs, ratio, threshold = best
-    return _SearchResult(
-        rank_sigs=rank_sigs,
-        ratio=ratio,
-        threshold=threshold,
-        iterations=iterations,
-        total_events=total_events,
-        probes=probes,
-        fold_hits=fold_hits,
-        fold_misses=fold_misses,
-        dendrogram_seconds=dendro_seconds,
     )
 
 
@@ -370,28 +212,19 @@ def compress_trace(
     reaches ``target_ratio`` or the threshold cap is hit (whichever
     comes first). With ``target_ratio`` <= the ratio achieved at
     threshold 0 (e.g. 1.0), only identical events are ever clustered.
-    ``options.search`` selects how the sweep is *executed* — the
-    default dendrogram search and the paper-literal linear sweep pick
-    the same threshold and return byte-identical signatures.
     """
     options = options or CompressionOptions()
-    if target_ratio < 1.0:
+    # Written so that NaN fails too: ``ratio >= nan`` is never true, so
+    # a NaN target would silently run the sweep until patience.
+    if not target_ratio >= 1.0:
         raise SignatureError("target compression ratio must be >= 1")
-    if options.search not in _SEARCH_MODES:
-        raise SignatureError(
-            f"unknown threshold search {options.search!r} "
-            f"(expected one of {', '.join(_SEARCH_MODES)})"
-        )
     metrics = get_metrics()
     streams = trace_to_streams(trace)
     all_events = (ev for s in streams for ev in s.events)
     scales = DimensionScales.from_events(all_events)
 
     with metrics.timer("construct.compress", "trace -> signature wall time"):
-        if options.search == "linear":
-            res = _search_linear(streams, scales, target_ratio, options)
-        else:
-            res = _search_dendrogram(streams, scales, target_ratio, options)
+        res = _search(streams, scales, target_ratio, options)
 
     if metrics.enabled:
         metrics.counter(
@@ -399,31 +232,8 @@ def compress_trace(
             "threshold-search steps across all compressions",
         ).inc(res.iterations)
         metrics.counter(
-            "construct.threshold_probes",
-            "full cluster+fold evaluations paid (vs. threshold_iterations "
-            "grid steps the linear sweep would recompute)",
-        ).inc(res.probes)
-        metrics.counter(
             "construct.compressions", "compress_trace invocations"
         ).inc()
-        metrics.counter(
-            "construct.fold_cache_hits",
-            "per-rank folds reused from the band-keyed memo",
-        ).inc(res.fold_hits)
-        metrics.counter(
-            "construct.fold_cache_misses",
-            "per-rank folds actually computed",
-        ).inc(res.fold_misses)
-        folds_seen = res.fold_hits + res.fold_misses
-        if folds_seen:
-            metrics.gauge(
-                "construct.fold_cache_hit_ratio",
-                "fold-memo hit ratio of the last threshold search",
-            ).set(res.fold_hits / folds_seen)
-        metrics.histogram(
-            "construct.dendrogram_seconds",
-            "wall time spent materialising dendrogram bands",
-        ).observe(res.dendrogram_seconds)
         metrics.gauge(
             "construct.last_threshold", "threshold chosen by the last search"
         ).set(res.threshold)

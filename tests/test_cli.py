@@ -51,6 +51,14 @@ class TestCommands:
         assert rc == 0
         assert "MPI_Alltoallv" in capsys.readouterr().out
 
+    def test_signature_rejects_nan_ratio(self, tmp_path, capsys):
+        trace_file = str(tmp_path / "is.trace")
+        main(["trace", "is", "--klass", "S", "-o", trace_file])
+        capsys.readouterr()
+        rc = main(["signature", trace_file, "--ratio", "nan"])
+        assert rc == 1
+        assert "target compression ratio" in capsys.readouterr().err
+
     def test_predict_with_verify(self, capsys):
         rc = main([
             "predict", "mg", "--klass", "S", "--target", "0.02",

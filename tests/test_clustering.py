@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clustering import (
-    ClusterSpace,
-    StreamDendrogram,
-    cluster_stream,
-)
+from repro.core.clustering import cluster_stream
 from repro.core.distance import DimensionScales
 from repro.core.events import ExecEvent, RankStream
 
@@ -83,113 +79,6 @@ class TestThresholdSemantics:
         symbols, _ = cluster_stream(events, threshold=0.02, scales=scales)
         # |1000-900|/10000 = 0.01 <= 0.02 -> merged.
         assert symbols[0] == symbols[1]
-
-
-class TestPlateauCertificate:
-    def test_certificate_brackets_decisions(self):
-        """1000 vs 900 (scale 1000): the merge flips exactly at
-        d = 0.1, so the band below is [0, 0.1) and above is [0.1, inf)."""
-        events = [send(1000), send(900)]
-        scales = DimensionScales(nbytes=1000, duration=1.0)
-        below = ClusterSpace(threshold=0.05, scales=scales)
-        for ev in events:
-            below.assign(ev)
-        assert below.stable_lo == 0.0
-        assert below.stable_hi == pytest.approx(0.1)
-        above = ClusterSpace(threshold=0.15, scales=scales)
-        for ev in events:
-            above.assign(ev)
-        assert above.stable_lo == pytest.approx(0.1)
-        assert above.stable_hi == float("inf")
-
-    def test_any_threshold_in_band_reproduces_symbols(self):
-        sizes = [1000, 940, 870, 1000, 500, 940]
-        events = [send(s) for s in sizes]
-        scales = DimensionScales.from_events(events)
-        probe = ClusterSpace(threshold=0.08, scales=scales)
-        symbols = [probe.assign(ev) for ev in events]
-        for t in (probe.stable_lo, 0.08, probe.stable_hi - 1e-9):
-            again = ClusterSpace(threshold=t, scales=scales)
-            assert [again.assign(ev) for ev in events] == symbols
-
-
-class TestStreamDendrogram:
-    EVENTS = [send(s) for s in (1000, 940, 870, 1000, 500, 940, 430)]
-
-    def test_bands_match_direct_clustering(self):
-        scales = DimensionScales.from_events(self.EVENTS)
-        dendro = StreamDendrogram(self.EVENTS, scales)
-        for step in range(26):
-            t = 0.01 * step
-            band = dendro.band_at(t)
-            assert band.lo <= t < band.hi
-            space = ClusterSpace(threshold=t, scales=scales)
-            assert band.symbols == [space.assign(ev) for ev in self.EVENTS]
-
-    def test_probes_bounded_by_distinct_outcomes(self):
-        """Walking a fine grid must reuse bands: far fewer clustering
-        passes than grid points."""
-        scales = DimensionScales.from_events(self.EVENTS)
-        dendro = StreamDendrogram(self.EVENTS, scales)
-        grid = [i * 0.002 for i in range(200)]
-        outcomes = {tuple(dendro.band_at(t).symbols) for t in grid}
-        assert dendro.n_bands <= len(outcomes) + 1
-        assert dendro.n_bands < 20  # vs. 200 grid points
-
-    def test_bands_are_stable_objects(self):
-        """Equal thresholds inside one band resolve to the same object
-        (the fold memo keys on band identity)."""
-        scales = DimensionScales.from_events(self.EVENTS)
-        dendro = StreamDendrogram(self.EVENTS, scales)
-        assert dendro.band_at(0.0) is dendro.band_at(0.0)
-        band = dendro.band_at(0.01)
-        if band.hi > 0.015:
-            assert dendro.band_at(0.015) is band
-
-    def test_symbol_base_offsets_every_symbol(self):
-        scales = DimensionScales.from_events(self.EVENTS)
-        base = 1 << 40
-        dendro = StreamDendrogram(self.EVENTS, scales, symbol_base=base)
-        plain = StreamDendrogram(self.EVENTS, scales)
-        assert dendro.band_at(0.0).symbols == [
-            base + s for s in plain.band_at(0.0).symbols
-        ]
-
-    def test_negative_threshold_rejected(self):
-        dendro = StreamDendrogram(
-            self.EVENTS, DimensionScales.from_events(self.EVENTS)
-        )
-        with pytest.raises(ValueError):
-            dendro.band_at(-0.01)
-
-    def test_empty_stream(self):
-        dendro = StreamDendrogram([], DimensionScales(nbytes=0, duration=0))
-        band = dendro.band_at(0.1)
-        assert band.symbols == []
-        assert band.lo == 0.0 and band.hi == float("inf")
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    sizes=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
-                   max_size=40),
-    threshold=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_dendrogram_band_is_exact(sizes, threshold):
-    """Fuzz the certificate: re-clustering anywhere inside a returned
-    band reproduces the symbols; just outside it does not claim to."""
-    events = [send(s) for s in sizes]
-    scales = DimensionScales.from_events(events)
-    dendro = StreamDendrogram(events, scales)
-    band = dendro.band_at(threshold)
-    probes = [band.lo, threshold]
-    if band.hi != float("inf"):
-        probes.append(band.hi * (1 - 1e-12))
-    for t in probes:
-        if t < band.lo or t >= band.hi:
-            continue
-        space = ClusterSpace(threshold=t, scales=scales)
-        assert [space.assign(ev) for ev in events] == band.symbols
 
 
 @settings(max_examples=80, deadline=None)

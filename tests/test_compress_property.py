@@ -1,12 +1,14 @@
-"""Property-based equivalence fuzzing of the dendrogram search (tier2).
+"""Property checks of the threshold search on fuzzed traces (tier2).
 
 Hypothesis builds adversarial multi-rank traces — repeated phases with
 jittered payloads, coordinated and (deliberately) mis-coordinated
-collectives, degenerate single-event streams — and asserts that the
-dendrogram threshold search returns a signature byte-identical (store
-canonical JSON) to the paper-literal linear sweep under randomly drawn
-search options. This is the contract the store relies on to keep
-cached signatures valid across the search-strategy change.
+collectives, degenerate single-event streams — and checks, under
+randomly drawn search options, that the sweep of paper §3.2 returns a
+signature byte-identical (store canonical JSON) to a single
+cluster+fold at the returned threshold, and that it stopped for a
+reason the paper allows: the ratio reached the target, the threshold
+reached its cap, or ``patience`` steps passed with no improvement.
+tests/test_compress_equivalence.py pins the signatures themselves.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.compress import CompressionOptions, compress_trace
 from repro.core.sigio import signature_to_dict
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.store import canonical_json
 from repro.trace.records import Trace, TraceRecord
 
@@ -88,24 +91,71 @@ search_options = st.fixed_dictionaries(
 )
 
 
+def canonical(sig) -> str:
+    return canonical_json(signature_to_dict(sig))
+
+
+def single_step(trace, threshold, opts):
+    """One cluster+fold at exactly ``threshold``: the start and the cap
+    coincide, so the sweep stops after its first step."""
+    fixed = dict(opts, start_threshold=threshold, max_threshold=threshold)
+    return compress_trace(trace, 1.0, CompressionOptions(**fixed))
+
+
+def search_with_steps(trace, target, opts):
+    """Run the search; return its signature and its step count."""
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        sig = compress_trace(trace, target, CompressionOptions(**opts))
+    finally:
+        set_metrics(previous)
+    return sig, int(registry["construct.threshold_iterations"].value)
+
+
+def check_search(trace, target, opts):
+    sig, steps = search_with_steps(trace, target, opts)
+    assert canonical(sig) == canonical(single_step(trace, sig.threshold, opts))
+
+    options = CompressionOptions(**opts)
+    thresholds = [options.start_threshold]
+    for _ in range(steps - 1):
+        thresholds.append(min(
+            options.max_threshold, thresholds[-1] + options.threshold_step
+        ))
+    ratios = [
+        single_step(trace, t, opts).compression_ratio for t in thresholds
+    ]
+    best = 0
+    stale = 0
+    for i, (t, ratio) in enumerate(zip(thresholds, ratios)):
+        if i and ratio > ratios[best]:
+            best = i
+            stale = 0
+        elif i:
+            stale += 1
+        stop = (
+            ratio >= target
+            or t >= options.max_threshold - 1e-12
+            or stale >= options.patience
+        )
+        # Every step but the last must have had a reason to go on; the
+        # last must have had a reason to stop.
+        assert stop == (i == steps - 1), (i, t, ratio, stale)
+    assert sig.threshold == thresholds[best]
+    assert sig.compression_ratio == ratios[best]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     trace=fuzzed_traces(),
     opts=search_options,
     target=st.sampled_from((1.0, 3.0, 20.0, 1e9)),
 )
-def test_dendrogram_matches_linear_sweep(trace, opts, target):
+def test_search_returns_single_step_and_stops_by_the_paper(trace, opts, target):
     if not any(trace.records[r] for r in range(trace.nranks)):
-        return  # no communication events: both searches raise; covered elsewhere
-    legacy = compress_trace(
-        trace, target, CompressionOptions(search="linear", **opts)
-    )
-    fast = compress_trace(
-        trace, target, CompressionOptions(search="dendrogram", **opts)
-    )
-    assert canonical_json(signature_to_dict(fast)) == canonical_json(
-        signature_to_dict(legacy)
-    )
+        return  # no communication events: the search raises; covered elsewhere
+    check_search(trace, target, opts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,16 +163,9 @@ def test_dendrogram_matches_linear_sweep(trace, opts, target):
     trace=fuzzed_traces(),
     budget=st.sampled_from((16, 128, 4096)),
 )
-def test_equivalence_holds_under_fold_budget_pressure(trace, budget):
-    """The rolling-hash filter must not shift budget exhaustion."""
+def test_search_holds_under_fold_budget_pressure(trace, budget):
+    """Budget exhaustion in the folder must not change either
+    property."""
     if not any(trace.records[r] for r in range(trace.nranks)):
         return
-    legacy = compress_trace(
-        trace, 1e9, CompressionOptions(search="linear", work_budget=budget)
-    )
-    fast = compress_trace(
-        trace, 1e9, CompressionOptions(search="dendrogram", work_budget=budget)
-    )
-    assert canonical_json(signature_to_dict(fast)) == canonical_json(
-        signature_to_dict(legacy)
-    )
+    check_search(trace, 1e9, {"work_budget": budget})
